@@ -277,13 +277,17 @@ def _hessian_from_gradient(grad, x: np.ndarray, step: float) -> np.ndarray:
     return 0.5 * (hess + hess.T)
 
 
+def _capped_eigenpairs(hess: np.ndarray, floor: float):
+    """Eigenpairs of the symmetrized matrix with the eigenvalues capped at
+    -floor, and whether any was capped."""
+    vals, vecs = np.linalg.eigh(0.5 * (hess + hess.T))
+    return np.minimum(vals, -floor), vecs, bool(np.any(vals > -floor))
+
+
 def regularize_hessian(hess: np.ndarray, floor: float = 1e-9):
     """Force a symmetric matrix to be negative definite by capping its
     eigenvalues at -floor. Returns (regularized matrix, was_modified)."""
-    hess = 0.5 * (hess + hess.T)
-    vals, vecs = np.linalg.eigh(hess)
-    modified = bool(np.any(vals > -floor))
-    vals = np.minimum(vals, -floor)
+    vals, vecs, modified = _capped_eigenpairs(hess, floor)
     return (vecs * vals) @ vecs.T, modified
 
 
@@ -304,9 +308,10 @@ def modified_newton_direction(hess: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def covariance_from_hessian(hess: np.ndarray, floor: float = 1e-9):
     """Laplace covariance -H^{-1} with the Hessian forced negative
-    definite first; always symmetric PSD."""
-    reg, modified = regularize_hessian(hess, floor)
-    vals, vecs = np.linalg.eigh(reg)
+    definite first; always symmetric PSD. The capped eigenpairs are
+    inverted directly: decomposing the rebuilt matrix again would lose a
+    -floor cap next to eigenvalues ~1e18 times larger in rounding."""
+    vals, vecs, modified = _capped_eigenpairs(hess, floor)
     cov = (vecs * (-1.0 / vals)) @ vecs.T
     return 0.5 * (cov + cov.T), modified
 

@@ -225,13 +225,17 @@ class RotationBasis:
         return self.matrix[:, 1]
 
 
-def _elementary_rotations(roll: float, pitch: float, yaw: float):
-    cx, sx = math.cos(roll), math.sin(roll)
-    cy, sy = math.cos(pitch), math.sin(pitch)
-    cz, sz = math.cos(yaw), math.sin(yaw)
-    rx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
-    ry = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
-    rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
+def _elementary_rotations(roll: float, pitch: float, yaw: float, order: int = 0):
+    """Rx(roll), Ry(pitch) and Rz(yaw), or their first or second
+    derivatives (``order`` 1 or 2) in their own angles."""
+    entries = []
+    for angle in (roll, pitch, yaw):
+        c, s = math.cos(angle), math.sin(angle)
+        entries.append(((c, s, 1.0), (-s, c, 0.0), (-c, -s, 0.0))[order])
+    (cx, sx, ex), (cy, sy, ey), (cz, sz, ez) = entries
+    rx = np.array([[ex, 0, 0], [0, cx, -sx], [0, sx, cx]])
+    ry = np.array([[cy, 0, sy], [0, ey, 0], [-sy, 0, cy]])
+    rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, ez]])
     return rx, ry, rz
 
 
@@ -262,14 +266,9 @@ def rotation_basis_derivatives(theta: np.ndarray) -> np.ndarray:
     ndarray, shape (3, 3, 2)
         ``out[l]`` is d(basis)/d(theta_l) for l in (roll, pitch, yaw).
     """
-    roll, pitch, yaw = float(theta[0]), float(theta[1]), float(theta[2])
-    rx, ry, rz = _elementary_rotations(roll, pitch, yaw)
-    cx, sx = math.cos(roll), math.sin(roll)
-    cy, sy = math.cos(pitch), math.sin(pitch)
-    cz, sz = math.cos(yaw), math.sin(yaw)
-    drx = np.array([[0, 0, 0], [0, -sx, -cx], [0, cx, -sx]])
-    dry = np.array([[-sy, 0, cy], [0, 0, 0], [-cy, 0, -sy]])
-    drz = np.array([[-sz, -cz, 0], [cz, -sz, 0], [0, 0, 0]])
+    angles = float(theta[0]), float(theta[1]), float(theta[2])
+    rx, ry, rz = _elementary_rotations(*angles)
+    drx, dry, drz = _elementary_rotations(*angles, order=1)
     return np.stack(
         [
             (rz @ ry @ drx)[:, :2],
@@ -277,6 +276,26 @@ def rotation_basis_derivatives(theta: np.ndarray) -> np.ndarray:
             (drz @ ry @ rx)[:, :2],
         ]
     )
+
+
+def rotation_basis_second_derivatives(theta: np.ndarray) -> np.ndarray:
+    """Second partial derivatives of the 3x2 basis w.r.t. roll, pitch, yaw.
+
+    Returns
+    -------
+    ndarray, shape (3, 3, 3, 2)
+        ``out[a, b]`` is d2(basis)/d(theta_a)d(theta_b); symmetric in
+        (a, b).
+    """
+    angles = float(theta[0]), float(theta[1]), float(theta[2])
+    # by_order[n][l]: n-th derivative of the elementary rotation about axis l
+    by_order = [_elementary_rotations(*angles, order=n) for n in range(3)]
+    out = np.zeros((3, 3, 3, 2))
+    for a in range(3):
+        for b in range(a, 3):
+            rx, ry, rz = (by_order[(a == l) + (b == l)][l] for l in range(3))
+            out[a, b] = out[b, a] = (rz @ ry @ rx)[:, :2]
+    return out
 
 
 def rotation_matrix_from_theta(theta) -> np.ndarray:

@@ -3,12 +3,23 @@ subarray) signal model.
 
 The reduced model is a misspecification of the exact spherical-wavefront
 model, so the bound is built around the *pseudotrue* parameter vector:
-the reduced-model parameters whose noiseless mean is closest (per-slot
-Frobenius distance, equivalently KL divergence under Gaussian noise) to
-the exact mean. Two generalized information matrices evaluated there give
-a sandwich variance term, and the pseudotrue offset contributes a bias
-outer product. The leading pose block bounds the mean-square estimation
-error of any estimator built on the reduced model.
+the reduced-model parameters whose noiseless mean is closest to the exact
+mean in the squared residual summed over (subarray, slot) blocks, which is
+the KL divergence between the two models under white Gaussian noise up to
+a 1/noise-power factor. Two generalized information matrices evaluated
+there give a sandwich variance term (Fortunati, Gini, Greco & Richmond,
+IEEE SPM 2017), and the pseudotrue offset contributes a bias outer
+product. The leading pose block bounds the mean-square estimation error of
+any estimator built on the reduced model.
+
+The reduced mean is linear in the gains, one K-column block of steering
+vectors per (subarray, slot). The pseudotrue fit eliminates each block's
+gains in closed form and minimizes the remaining function of the pose with
+its analytic gradient (variable projection, Golub & Pereyra, SIAM J.
+Numer. Anal. 1973). The information matrices use analytic first and second
+derivatives of the steering phases. Both work block by block; the dense
+(N_B T, M K T) embedding serves `reduced_mean` and the analytic Fisher
+oracle only.
 
 Parameter packing: ``gamma = [p_1, .., p_K, theta_1, .., theta_K]`` (6K
 reals), and ``gamma_FF`` appends Re/Im of every per-(subarray, MS, slot)
@@ -28,14 +39,15 @@ from .geometry import (
     bs_antenna_grid,
     canonicalize_euler,
     rotation_basis_derivatives,
+    rotation_basis_second_derivatives,
     rotation_matrix_from_theta,
 )
 from .partition import PartitionPlan
 
-# derivative steps and conditioning thresholds, centralized: bound quality
-# is sensitive to these
-FD_STEP_FIRST = 1e-6
-FD_STEP_SECOND = 1e-5
+# pseudotrue fit tolerances, relative to ||mu_exact|| (residual norm)
+# and ||mu_exact||^2 (gradient entries), and conditioning thresholds
+ZERO_RESIDUAL_TOL = 1e-10
+STATIONARITY_TOL = 1e-9
 CONDITION_LIMIT = 1e12
 PINV_RCOND = 1e-8
 
@@ -169,40 +181,145 @@ def reduced_mean(
     return reduced_embedding(gamma, scenario, plan) @ c
 
 
-def _solve_gains_and_residual(
-    gamma: np.ndarray,
-    mu_exact: np.ndarray,
-    scenario: ScenarioConfig,
-    plan: PartitionPlan,
-):
-    """Per-(subarray, slot) least-squares gains against the exact mean and
-    the summed per-slot Frobenius residual."""
-    n_b = scenario.bs.n_antennas
-    k_count = scenario.num_ms
-    t_count = scenario.n_slots
-    emb = reduced_embedding(gamma, scenario, plan)
-    c = np.zeros(emb.shape[1], dtype=np.complex128)
-    model = np.zeros_like(mu_exact)
+@dataclass(frozen=True)
+class _SubarrayGroup:
+    """Subarrays of one shape, so that their steering blocks stack into
+    one array: 0-based indices (G,), signal rows (G, N) in raveled (i, j)
+    order, reference positions (G, 3) and the 1-based element indices i
+    and j of every row (2, N)."""
+
+    members: np.ndarray
+    rows: np.ndarray
+    refs: np.ndarray
+    ramps: np.ndarray
+
+
+def _subarray_groups(plan: PartitionPlan) -> list:
+    by_shape = {}
     for mi, sub in enumerate(plan.subarrays):
-        rows = plan.subarray_row_indices(mi + 1).ravel()
-        for t in range(t_count):
-            r_idx = t * n_b + rows
-            cols = [gain_index(mi, k, t, k_count, t_count) for k in range(k_count)]
-            phi_mat = emb[np.ix_(r_idx, cols)]
-            y = mu_exact[r_idx]
-            sol, *_ = np.linalg.lstsq(phi_mat, y, rcond=None)
-            c[cols] = sol
-            model[r_idx] = phi_mat @ sol
-    resid = mu_exact - model
-    per_slot = resid.reshape(t_count, n_b)
-    objective = float(np.sum(np.linalg.norm(per_slot, axis=1)))
-    return objective, c
+        by_shape.setdefault((sub.nx, sub.ny), []).append(mi)
+    groups = []
+    for (nx, ny), members in by_shape.items():
+        ii, jj = np.meshgrid(
+            np.arange(1.0, nx + 1), np.arange(1.0, ny + 1), indexing="ij"
+        )
+        groups.append(
+            _SubarrayGroup(
+                members=np.array(members),
+                rows=np.array(
+                    [plan.subarray_row_indices(mi + 1).ravel() for mi in members]
+                ),
+                refs=np.array([plan.subarrays[mi].ref_position for mi in members]),
+                ramps=np.stack([ii.ravel(), jj.ravel()]),
+            )
+        )
+    return groups
+
+
+def _block_gain_index(group: _SubarrayGroup, k_count: int, t_count: int) -> np.ndarray:
+    """(G, T, K) positions of a group's gains in the gain vector."""
+    m = group.members[:, None, None]
+    return (m * k_count + np.arange(k_count)) * t_count + np.arange(t_count)[:, None]
+
+
+def _pose_columns(k: int, k_count: int) -> np.ndarray:
+    """Entries of MS k's [position, attitude] in ``gamma``."""
+    return np.r_[3 * k : 3 * k + 3, 3 * k_count + 3 * k : 3 * k_count + 3 * k + 3]
+
+
+def _antenna_derivatives(gamma: np.ndarray, scenario: ScenarioConfig, order: int):
+    """Activated-antenna positions (K, T, 3) with their derivatives in the
+    MS's own [position, attitude]: first (K, T, 3, 6) and, at ``order`` 2,
+    second (K, T, 3, 6, 6); otherwise None."""
+    k_count = scenario.num_ms
+    q_locals = scenario.pattern.local_positions(scenario.ms, scenario.lam)
+    first = np.zeros((k_count, len(q_locals), 3, 6))
+    first[..., :3] = np.eye(3)
+    second = np.zeros(first.shape + (6,)) if order == 2 else None
+    for k, (_, theta) in enumerate(unpack_poses(gamma, k_count)):
+        first[k, :, :, 3:] = np.einsum(
+            "lxc,tc->txl", rotation_basis_derivatives(theta), q_locals
+        )
+        if second is not None:
+            second[k, :, :, 3:, 3:] = np.einsum(
+                "abxc,tc->txab", rotation_basis_second_derivatives(theta), q_locals
+            )
+    return _antenna_positions(gamma, scenario), first, second
+
+
+def _steering_blocks(antennas, first, second, group: _SubarrayGroup):
+    """Steering vectors of a group, (G, K, T, N), and their derivatives.
+
+    The steering phase is pi (i phi_x + j phi_y), so da/dgamma = j dphase a
+    with dphase (G, K, T, N, 6) from dphi/d(antenna) = (e_l - phi_l u) / r.
+    With second antenna derivatives, also returns d2phi (G, K, T, 2, 6, 6),
+    the second derivatives of the direction cosines; else None.
+    """
+    diff = antennas[None] - group.refs[:, None, None, :]
+    r = np.linalg.norm(diff, axis=-1)[..., None, None]
+    u = diff / r[..., 0]
+    phi = u[..., :2]
+    steer = np.exp(1j * np.pi * (phi @ group.ramps))
+    dphi_dant = (np.eye(3)[:2] - phi[..., :, None] * u[..., None, :]) / r
+    dphi = dphi_dant @ first
+    dphase = np.pi * np.einsum("ln,gktla->gktna", group.ramps, dphi)
+    if second is None:
+        return steer, dphase, None
+    # Hessian of phi_l = d_l / |d| in d:
+    # (-(e_l u^T + u e_l^T) + phi_l (3 u u^T - I)) / r^2
+    e_u = np.eye(3)[:2, :, None] * u[..., None, None, :]
+    outer = u[..., None, :, None] * u[..., None, None, :]
+    hess = (
+        -(e_u + np.swapaxes(e_u, -1, -2))
+        + phi[..., None, None] * (3.0 * outer - np.eye(3))
+    ) / r[..., None] ** 2
+    d2phi = np.einsum("gktlxy,ktxa,ktyb->gktlab", hess, first, first) + np.einsum(
+        "gktlx,ktxab->gktlab", dphi_dant, second
+    )
+    return steer, dphase, d2phi
+
+
+def _observed_blocks(mu: np.ndarray, group: _SubarrayGroup, t_count: int) -> np.ndarray:
+    """(G, T, N) blocks of a stacked mean vector."""
+    return mu.reshape(t_count, -1)[:, group.rows].transpose(1, 0, 2)
+
+
+def _projected_residual(gamma, mu, scenario: ScenarioConfig, groups):
+    """Variable projection of the reduced model onto ``mu``.
+
+    Every (subarray, slot) block's K gains solve the K x K normal equations
+    of ||y - A c||^2. Returns the squared residual sum over blocks, its
+    exact gradient in ``gamma`` (-2 Re r^H (dA/dgamma) c: the derivative
+    through c drops out because r is orthogonal to range(A)) and the
+    gains in gain-vector order.
+    """
+    k_count, t_count = scenario.num_ms, scenario.n_slots
+    antennas, first, _ = _antenna_derivatives(gamma, scenario, order=1)
+    objective = 0.0
+    grad = np.zeros(6 * k_count)
+    n_subarrays = sum(len(group.members) for group in groups)
+    c_all = np.zeros(n_subarrays * k_count * t_count, dtype=np.complex128)
+    for group in groups:
+        steer, dphase, _ = _steering_blocks(antennas, first, None, group)
+        y = _observed_blocks(mu, group, t_count)
+        a_mat = steer.transpose(0, 2, 3, 1)
+        a_herm = np.conj(steer).transpose(0, 2, 1, 3)
+        c = np.linalg.solve(a_herm @ a_mat, a_herm @ y[..., None])[..., 0]
+        resid = y - (a_mat @ c[..., None])[..., 0]
+        objective += float(np.vdot(resid, resid).real)
+        weights = np.conj(resid)[:, None] * c.transpose(0, 2, 1)[..., None] * steer
+        # -2 Re(j w . dphase) = 2 Im(w . dphase)
+        per_ms = 2.0 * np.einsum("gktn,gktna->ka", weights, dphase).imag
+        for k in range(k_count):
+            grad[_pose_columns(k, k_count)] += per_ms[k]
+        c_all[_block_gain_index(group, k_count, t_count)] = c
+    return objective, grad, c_all
 
 
 @dataclass
 class PseudotrueFit:
     gamma_ff: np.ndarray
-    residual: float
+    residual: float  # norm of the exact mean's residual at the fit
     converged: bool
     flags: tuple = ()
 
@@ -211,46 +328,114 @@ def pseudotrue_fit(
     truth: np.ndarray,
     scenario: ScenarioConfig,
     plan: PartitionPlan,
-    grid_refine: bool = False,
 ) -> PseudotrueFit:
     """Closest reduced-model parameters to the exact model at ``truth``.
 
-    Gains are solved in closed form per (subarray, slot); pose variables
-    are refined by a quasi-Newton local search seeded at the truth (the
-    model mismatch is small in every valid scene). ``grid_refine`` adds a
-    handful of perturbed restarts as a safeguard.
+    Minimizes the squared residual sum over (subarray, slot) blocks,
+    sum ||y_mt - A_mt c_mt||^2, which is the KL divergence from the exact
+    to the reduced model under white Gaussian noise up to a 1/noise-power
+    factor. The gains are eliminated in closed form per block (variable
+    projection, Golub & Pereyra 1973), and BFGS, seeded at the truth (the
+    model mismatch is small in every valid scene), minimizes the remaining
+    pose function with its analytic gradient. The fit has converged when
+    every gradient entry is below STATIONARITY_TOL times ||mu_exact||^2,
+    whatever the optimizer reports about its line search.
     """
     from scipy.optimize import minimize
 
+    truth = np.asarray(truth, dtype=float)
     mu_exact = exact_mean(truth, scenario)
-    scale = float(np.linalg.norm(mu_exact))
+    power = float(np.vdot(mu_exact, mu_exact).real)
+    groups = _subarray_groups(plan)
 
-    def objective(gamma):
-        return _solve_gains_and_residual(gamma, mu_exact, scenario, plan)[0]
+    def scaled(gamma):
+        objective, grad, _ = _projected_residual(gamma, mu_exact, scenario, groups)
+        return objective / power, grad / power
 
-    f0 = objective(truth)
-    if f0 <= 1e-10 * scale:
-        _, c = _solve_gains_and_residual(truth, mu_exact, scenario, plan)
-        return PseudotrueFit(pack_extended(truth, c), f0, True, ("zero_residual",))
+    f0, _ = scaled(truth)
+    if f0 <= ZERO_RESIDUAL_TOL**2:
+        gamma = truth
+        flags = ("zero_residual",)
+    else:
+        gamma = minimize(
+            scaled, truth, jac=True, method="BFGS",
+            options={"gtol": STATIONARITY_TOL},
+        ).x
+        flags = ()
+    objective, grad, c = _projected_residual(gamma, mu_exact, scenario, groups)
+    converged = bool(np.max(np.abs(grad)) <= STATIONARITY_TOL * power)
+    if not converged:
+        flags += ("descent_not_converged",)
+    return PseudotrueFit(
+        pack_extended(gamma, c), math.sqrt(objective), converged, flags
+    )
 
-    starts = [np.asarray(truth, dtype=float)]
-    if grid_refine:
-        rng = np.random.default_rng(0)
-        for _ in range(4):
-            delta = np.zeros_like(truth)
-            delta[: 3 * scenario.num_ms] = rng.normal(0.0, 1e-3, 3 * scenario.num_ms)
-            delta[3 * scenario.num_ms :] = rng.normal(0.0, 1e-3, 3 * scenario.num_ms)
-            starts.append(truth + delta)
-    best = None
-    converged = False
-    for start in starts:
-        res = minimize(objective, start, method="BFGS", options={"gtol": 1e-10 * scale})
-        if best is None or res.fun < best.fun:
-            best = res
-            converged = bool(res.success) or res.fun <= f0
-    _, c = _solve_gains_and_residual(best.x, mu_exact, scenario, plan)
-    flags = () if converged else ("descent_not_converged",)
-    return PseudotrueFit(pack_extended(best.x, c), float(best.fun), converged, flags)
+
+def _information_terms(
+    pseudotrue: np.ndarray,
+    mu_true: np.ndarray,
+    scenario: ScenarioConfig,
+    plan: PartitionPlan,
+):
+    """Re{J^H J}, Re{eps^H d2mu} and z = Re{J^H eps}, with J the Jacobian
+    of the reduced mean in ``gamma_FF`` at ``pseudotrue`` and eps the
+    residual of ``mu_true`` against that mean.
+
+    Every derivative is analytic and is built on the steering blocks of
+    each (subarray, slot), whose rows meet only the pose and that block's
+    own gains; the gain-gain block of d2mu vanishes (the model is linear
+    in the gains).
+    """
+    k_count, t_count = scenario.num_ms, scenario.n_slots
+    n_pose = 6 * k_count
+    gamma0, c0 = unpack_extended(pseudotrue, k_count)
+    n = n_pose + 2 * c0.size
+    gram = np.zeros((n, n))
+    s2 = np.zeros((n, n))
+    z = np.zeros(n)
+    antennas, first, second = _antenna_derivatives(gamma0, scenario, order=2)
+    for group in _subarray_groups(plan):
+        steer, dphase, d2phi = _steering_blocks(antennas, first, second, group)
+        gidx = _block_gain_index(group, k_count, t_count)
+        c = c0[gidx]
+        eps = _observed_blocks(mu_true, group, t_count) - np.einsum(
+            "gktn,gtk->gtn", steer, c
+        )
+        # block-local columns: every pose entry, then Re/Im of the block's
+        # K gains
+        jac = np.zeros(eps.shape + (n_pose + 2 * k_count,), dtype=np.complex128)
+        s2_block = np.zeros(eps.shape[:2] + (jac.shape[-1],) * 2)
+        for k in range(k_count):
+            cols = _pose_columns(k, k_count)
+            re_col, im_col = n_pose + 2 * k, n_pose + 2 * k + 1
+            a_k, dph = steer[:, k], dphase[:, k]
+            jac[..., cols] = 1j * c[..., k, None, None] * dph * a_k[..., None]
+            jac[..., re_col] = a_k
+            jac[..., im_col] = 1j * a_k
+            # Re{eps^H c d2a}, d2a = (j pi ramp . d2phi - dphase dphase^T) a
+            v = np.conj(eps) * c[..., k, None] * a_k
+            curvature = np.einsum("gtl,gtlab->gtab", v @ group.ramps.T, d2phi[:, k])
+            s2_block[..., cols[:, None], cols] = -np.pi * curvature.imag - np.einsum(
+                "gtn,gtna,gtnb->gtab", v, dph, dph, optimize=True
+            ).real
+            # Re{eps^H da} against the Re and Im gain columns (a and j a)
+            e = 1j * np.einsum("gtn,gtna->gta", np.conj(eps) * a_k, dph)
+            s2_block[..., cols, re_col] = s2_block[..., re_col, cols] = e.real
+            s2_block[..., cols, im_col] = s2_block[..., im_col, cols] = -e.imag
+        blocks = gidx.shape[:2]
+        gain_cols = n_pose + 2 * gidx[..., None] + np.arange(2)
+        idx = np.concatenate(
+            [
+                np.broadcast_to(np.arange(n_pose), blocks + (n_pose,)),
+                gain_cols.reshape(blocks + (2 * k_count,)),
+            ],
+            axis=-1,
+        )
+        jac_herm = np.conj(jac).swapaxes(-1, -2)
+        np.add.at(gram, (idx[..., :, None], idx[..., None, :]), (jac_herm @ jac).real)
+        np.add.at(s2, (idx[..., :, None], idx[..., None, :]), s2_block)
+        np.add.at(z, idx, (jac_herm @ eps[..., None])[..., 0].real)
+    return gram, s2, z
 
 
 def information_matrices(
@@ -262,93 +447,16 @@ def information_matrices(
     exact_mean_fn=None,
 ):
     """The two generalized information matrices of the reduced model at the
-    pseudotrue point.
-
-    Derivatives w.r.t. gain entries are analytic (the model is linear in
-    them); pose derivatives use central differences with steps from the
-    module-level config block. ``exact_mean_fn`` is injectable for tests.
+    pseudotrue point: A = (2/sigma^2) (Re{eps^H d2mu} - Re{J^H J}) and
+    B = (4/sigma^2) z z^T + (2/sigma^2) Re{J^H J}, from the terms of
+    `_information_terms`. ``exact_mean_fn`` is injectable for tests.
     """
     if noise_power_w <= 0:
         raise ValueError("noise power must be positive")
-    k_count = scenario.num_ms
-    n_pose = 6 * k_count
-    gamma0, c0 = unpack_extended(pseudotrue, k_count)
-    emb0 = reduced_embedding(gamma0, scenario, plan)
-    mu0 = emb0 @ c0
     mu_true = (exact_mean_fn or exact_mean)(truth, scenario)
-    eps = mu_true - mu0
-    n_gain = emb0.shape[1]
-    n = n_pose + 2 * n_gain
-
-    # Jacobian: pose columns by central differences, gain columns analytic
-    d = np.zeros((mu0.size, n), dtype=np.complex128)
-    for a in range(n_pose):
-        h = FD_STEP_FIRST * max(1.0, abs(gamma0[a]))
-        gp, gm = gamma0.copy(), gamma0.copy()
-        gp[a] += h
-        gm[a] -= h
-        d[:, a] = (
-            reduced_embedding(gp, scenario, plan) @ c0
-            - reduced_embedding(gm, scenario, plan) @ c0
-        ) / (2.0 * h)
-    d[:, n_pose : n_pose + 2 * n_gain : 2] = emb0
-    d[:, n_pose + 1 : n_pose + 2 * n_gain : 2] = 1j * emb0
-
-    # Re{eps^H d2mu/da db}: pose-pose by second differences of the scalar
-    # eps^H mu(gamma); pose-gain from first differences of eps^H E; the
-    # gain-gain block vanishes (linear model)
-    s2 = np.zeros((n, n))
-
-    def scalar(gamma):
-        return complex(np.conj(eps) @ (reduced_embedding(gamma, scenario, plan) @ c0))
-
-    s_base = scalar(gamma0)
-    steps = np.array(
-        [FD_STEP_SECOND * max(1.0, abs(gamma0[a])) for a in range(n_pose)]
-    )
-    for a in range(n_pose):
-        gp, gm = gamma0.copy(), gamma0.copy()
-        gp[a] += steps[a]
-        gm[a] -= steps[a]
-        s2[a, a] = np.real(
-            (scalar(gp) - 2.0 * s_base + scalar(gm)) / steps[a] ** 2
-        )
-        for b in range(a + 1, n_pose):
-            gpp, gpm, gmp, gmm = (
-                gamma0.copy(),
-                gamma0.copy(),
-                gamma0.copy(),
-                gamma0.copy(),
-            )
-            gpp[[a, b]] += [steps[a], steps[b]]
-            gmm[[a, b]] -= [steps[a], steps[b]]
-            gpm[a] += steps[a]
-            gpm[b] -= steps[b]
-            gmp[a] -= steps[a]
-            gmp[b] += steps[b]
-            val = np.real(
-                (scalar(gpp) - scalar(gpm) - scalar(gmp) + scalar(gmm))
-                / (4.0 * steps[a] * steps[b])
-            )
-            s2[a, b] = s2[b, a] = val
-    for a in range(n_pose):
-        h = FD_STEP_FIRST * max(1.0, abs(gamma0[a]))
-        gp, gm = gamma0.copy(), gamma0.copy()
-        gp[a] += h
-        gm[a] -= h
-        de = (
-            np.conj(eps) @ reduced_embedding(gp, scenario, plan)
-            - np.conj(eps) @ reduced_embedding(gm, scenario, plan)
-        ) / (2.0 * h)
-        s2[a, n_pose : n_pose + 2 * n_gain : 2] = de.real
-        s2[n_pose : n_pose + 2 * n_gain : 2, a] = de.real
-        s2[a, n_pose + 1 : n_pose + 2 * n_gain : 2] = -de.imag
-        s2[n_pose + 1 : n_pose + 2 * n_gain : 2, a] = -de.imag
-
-    gram = np.real(np.conj(d.T) @ d)
+    gram, s2, z = _information_terms(pseudotrue, mu_true, scenario, plan)
     a_mat = (2.0 / noise_power_w) * (s2 - gram)
     a_mat = 0.5 * (a_mat + a_mat.T)
-    z = np.real(np.conj(d.T) @ eps)
     b_mat = (4.0 / noise_power_w) * np.outer(z, z) + (2.0 / noise_power_w) * gram
     b_mat = 0.5 * (b_mat + b_mat.T)
     cond = _balanced_condition(a_mat)

@@ -62,6 +62,8 @@ from nearfield_pae.mcrb import (
 )
 from nearfield_pae.partition import uniform_partition
 
+pytestmark = pytest.mark.acceptance
+
 WORKERS = 2
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -403,3 +405,17 @@ class TestHessianRegularization:
             cov, _ = covariance_from_hessian(h)
             assert np.all(np.linalg.eigvalsh(cov) >= -1e-12)
             assert np.allclose(cov, cov.T)
+
+    def test_cap_survives_extreme_curvature_spread(self):
+        # eigenvalues -1e9 and -1e-9 along 45-degree axes: rebuilding the
+        # matrix from capped eigenvalues and decomposing it again rounds
+        # the capped one to zero, and the variance to inf
+        c = np.sqrt(0.5)
+        rot = np.array([[c, -c], [c, c]])
+        h = -rot @ np.diag([1e9, 1e-9]) @ rot.T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cov, modified = covariance_from_hessian(h)
+        assert modified
+        assert np.all(np.isfinite(cov))
+        assert np.all(np.diag(cov) > 0)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from nearfield_pae import mcrb
 from nearfield_pae.channel import desk_scale_scenario, draw_poses
 from nearfield_pae.geometry import EulerAngles, Pose
 from nearfield_pae.mcrb import (
-    FD_STEP_FIRST,
     compute_bound,
     exact_mean,
     gain_index,
@@ -19,7 +19,9 @@ from nearfield_pae.mcrb import (
     reduced_mean,
     true_gain_vector,
     unpack_extended,
-    _solve_gains_and_residual,
+    _information_terms,
+    _projected_residual,
+    _subarray_groups,
 )
 from nearfield_pae.partition import uniform_partition
 
@@ -56,7 +58,7 @@ class TestPseudotrue:
         poses = draw_poses(sc, rng)
         truth = pack_poses(poses)
         mu = exact_mean(truth, sc)
-        _, c = _solve_gains_and_residual(truth, mu, sc, plan)
+        _, _, c = _projected_residual(truth, mu, sc, _subarray_groups(plan))
         emb = reduced_embedding(truth, sc, plan)
         n_b = sc.bs.n_antennas
         for mi in range(plan.n_subarrays):
@@ -100,6 +102,61 @@ class TestPseudotrue:
             fit = pseudotrue_fit(truth, scd, plan)
             bias = np.linalg.norm(fit.gamma_ff[:3] - truth[:3])
             assert bias == pytest.approx(lam * np.sqrt(2) / 4, rel=0.05)
+
+    @pytest.mark.parametrize("num_ms", [1, 2])
+    @pytest.mark.parametrize("blocks", [2, 4])
+    def test_gradient_matches_brute_force(self, num_ms, blocks):
+        """The analytic variable-projection gradient against central
+        differences of the squared residual rebuilt from the dense
+        embedding, with every block's gains solved by lstsq."""
+        sc, plan = small_scene(bs_n=8, mx=blocks, my=blocks, num_ms=num_ms)
+        poses = draw_poses(sc, np.random.default_rng(6))
+        truth = pack_poses(poses)
+        mu = exact_mean(truth, sc)
+        n_b = sc.bs.n_antennas
+
+        def brute_objective(gamma):
+            emb = reduced_embedding(gamma, sc, plan)
+            total = 0.0
+            for mi in range(plan.n_subarrays):
+                rows = plan.subarray_row_indices(mi + 1).ravel()
+                for t in range(sc.n_slots):
+                    r_idx = t * n_b + rows
+                    cols = [
+                        gain_index(mi, k, t, sc.num_ms, sc.n_slots)
+                        for k in range(sc.num_ms)
+                    ]
+                    phi = emb[np.ix_(r_idx, cols)]
+                    sol, *_ = np.linalg.lstsq(phi, mu[r_idx], rcond=None)
+                    total += np.sum(np.abs(mu[r_idx] - phi @ sol) ** 2)
+            return total
+
+        # a generic point near the truth
+        gamma = truth + np.random.default_rng(7).normal(0.0, 1e-3, truth.size)
+        objective, grad, _ = _projected_residual(gamma, mu, sc, _subarray_groups(plan))
+        assert objective == pytest.approx(brute_objective(gamma), rel=1e-10)
+        step = 1e-6
+        oracle = np.zeros_like(gamma)
+        for a in range(gamma.size):
+            gp, gm = gamma.copy(), gamma.copy()
+            gp[a] += step
+            gm[a] -= step
+            oracle[a] = (brute_objective(gp) - brute_objective(gm)) / (2 * step)
+        assert np.max(np.abs(grad - oracle)) < 1e-6 * np.max(np.abs(oracle))
+
+    def test_no_dense_embedding(self, monkeypatch):
+        """The fit and the information matrices work on the steering
+        blocks only; the dense (N_B T, M K T) embedding is never built."""
+        sc, plan = small_scene(bs_n=8, mx=2, my=2, num_ms=2)
+        truth = pack_poses(draw_poses(sc, np.random.default_rng(8)))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense embedding built")
+
+        monkeypatch.setattr(mcrb, "reduced_embedding", forbidden)
+        fit = pseudotrue_fit(truth, sc, plan)
+        assert fit.converged
+        information_matrices(fit.gamma_ff, truth, sc, plan, sc.noise_power_w)
 
     def test_pseudotrue_gains_match_truth_at_zero_mismatch(self):
         sc, plan = small_scene(bs_n=4, mx=4, my=4)
@@ -158,9 +215,10 @@ class TestInformationMatrices:
         def mu_of(vec):
             return reduced_mean(vec, sc, plan)
 
+        step = 1e-6
         jac = np.zeros((eps.size, n), dtype=complex)
         for a in range(n):
-            h = FD_STEP_FIRST * max(1.0, abs(gff0[a]))
+            h = step * max(1.0, abs(gff0[a]))
             vp, vm = gff0.copy(), gff0.copy()
             vp[a] += h
             vm[a] -= h
@@ -192,6 +250,53 @@ class TestInformationMatrices:
         scale_b = np.max(np.abs(b_oracle))
         assert np.max(np.abs(a_mat - a_oracle)) < 1e-4 * scale_a
         assert np.max(np.abs(b_mat - b_oracle)) < 1e-4 * scale_b
+
+
+    def test_terms_match_brute_force_in_fisher_units(self):
+        """Each analytic term against differences of the dense reduced mean,
+        entry (a, b) measured in units of sqrt(F_aa F_bb) with F = Re{J^H J}:
+        the curvature term Re{eps^H d2mu} is about |eps|/|mu| smaller than
+        the Gram term, so an error in it hides below a tolerance scaled to
+        max |A|."""
+        sc, plan = small_scene(bs_n=4, ms_n=4, mx=2, my=2, num_ms=2, pattern="t3")
+        truth = pack_poses(draw_poses(sc, np.random.default_rng(9)))
+        gff0 = pseudotrue_fit(truth, sc, plan).gamma_ff
+        mu_true = exact_mean(truth, sc)
+        eps = mu_true - reduced_mean(gff0, sc, plan)
+        gram, s2, z = _information_terms(gff0, mu_true, sc, plan)
+        n, n_pose = gff0.size, 6 * sc.num_ms
+
+        def shifted(steps):
+            vec = gff0.copy()
+            for a, h in steps:
+                vec[a] += h
+            return reduced_mean(vec, sc, plan)
+
+        hs = [1e-4 * max(1.0, abs(v)) for v in gff0]
+        jac = np.array(
+            [
+                (shifted([(a, hs[a])]) - shifted([(a, -hs[a])])) / (2 * hs[a])
+                for a in range(n)
+            ]
+        ).T
+        # d2mu vanishes between gains, so one pose index suffices
+        s2_oracle = np.zeros((n, n))
+        for a in range(n_pose):
+            for b in range(n):
+                d2 = (
+                    shifted([(a, hs[a]), (b, hs[b])])
+                    - shifted([(a, hs[a]), (b, -hs[b])])
+                    - shifted([(a, -hs[a]), (b, hs[b])])
+                    + shifted([(a, -hs[a]), (b, -hs[b])])
+                ) / (4 * hs[a] * hs[b])
+                s2_oracle[a, b] = s2_oracle[b, a] = np.real(np.conj(eps) @ d2)
+        gram_oracle = np.real(jac.conj().T @ jac)
+        unit = np.sqrt(np.outer(np.diag(gram_oracle), np.diag(gram_oracle)))
+        assert np.max(np.abs(gram - gram_oracle) / unit) < 1e-6
+        assert np.max(np.abs(s2 - s2_oracle) / unit) < 1e-6
+        assert np.max(np.abs(s2)) > 0 and np.all(s2[n_pose:, n_pose:] == 0)
+        z_oracle = np.real(jac.conj().T @ eps)
+        assert np.max(np.abs(z - z_oracle) / np.sqrt(np.diag(gram_oracle))) < 1e-6
 
 
 class TestLowerBound:
