@@ -20,7 +20,6 @@ estimator (acceptance criterion 8c).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,7 @@ from .engine import PoseEstimate, procrustes_pose
 from .geometry import (
     UraSpec,
     canonicalize_euler,
+    ray_from_cosines,
     rotation_basis,
     rotation_matrix_from_theta,
 )
@@ -147,14 +147,6 @@ def farfield_aoa(
     return out
 
 
-def _direction(cosines: np.ndarray) -> np.ndarray:
-    sq = float(cosines @ cosines)
-    if sq > 1.0:
-        cosines = cosines / math.sqrt(sq)
-        sq = 1.0
-    return np.array([cosines[0], cosines[1], math.sqrt(max(0.0, 1.0 - sq))])
-
-
 def pose_from_aoas(
     aoas: np.ndarray,
     q_locals: np.ndarray,
@@ -183,7 +175,7 @@ def pose_from_aoas(
         r = np.linalg.norm(ants, axis=1)
         return (ants[:, :2] / r[:, None] - aoas).ravel()
 
-    p0 = range_init * _direction(aoas.mean(axis=0))
+    p0 = range_init * ray_from_cosines(aoas.mean(axis=0))
     best = None
     for roll0 in (0.0, np.pi):
         for yaw0 in (0.0, np.pi / 2, np.pi, -np.pi / 2):
@@ -199,7 +191,7 @@ def pose_from_aoas(
     basis = rotation_matrix_from_theta(x[3:])
     fitted = x[:3][None, :] + (basis @ q_locals.T).T
     ranges = np.linalg.norm(fitted, axis=1)
-    points = np.array([_direction(aoas[t]) * ranges[t] for t in range(t_count)])
+    points = np.array([ray_from_cosines(aoas[t]) * ranges[t] for t in range(t_count)])
     aligned = procrustes_pose(points, q_locals)
     pose = np.concatenate([x[:3], aligned[3:]])
     return pose, flags

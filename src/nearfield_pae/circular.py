@@ -5,7 +5,10 @@ These are the primitives every message in the estimation loop is built
 from: beliefs about direction cosines are von Mises densities on the
 scaled angle ``pi * phi``, closed under multiplication and "division"
 (extrinsic extraction), while position and pose beliefs are Gaussians
-obtained by Laplace approximation of composite log-densities.
+obtained by Laplace approximation of composite log-densities. The
+Laplace fits run a damped Newton ascent on analytic Hessians over a
+stack of independent problems at once (`newton_fits`); `laplace_fit` is
+its one-problem view.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 KAPPA_MAX = 1e12
-# smallest curvature a Newton polish step uses, relative to the largest
-# |eigenvalue|: about sqrt(machine epsilon), the relative accuracy of a
-# finite-difference Hessian
+# smallest curvature a Newton step uses, relative to the largest
+# |eigenvalue|: bounds the condition number of the modified Hessian by
+# 1e8, so the step stays accurate to about 1e-8 in double precision
 NEWTON_CURVATURE_FLOOR = 1e-8
 
 # asymptotic series I0(k) ~ e^k / sqrt(2 pi k) * sum a_n / k**n
@@ -120,10 +123,17 @@ class VmPair:
 
 @dataclass
 class GaussianBelief:
-    """Mean and covariance of a (1-6)-dimensional Gaussian message."""
+    """Mean and covariance of a (1-6)-dimensional Gaussian message.
+
+    ``precision``, when given, is the inverse covariance as it was formed
+    (for a Laplace fit, the capped -H that ``cov`` inverts); products use
+    it instead of inverting ``cov`` again, whose condition number can
+    reach ~1e21 at extreme curvature spread.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
+    precision: np.ndarray | None = None
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -136,22 +146,36 @@ class GaussianBelief:
             raise ValueError(f"covariance is not symmetric (max asymmetry {asym:.3g})")
         self.mean = mean
         self.cov = 0.5 * (cov + cov.T)
+        if self.precision is not None:
+            prec = np.asarray(self.precision, dtype=float)
+            if prec.shape != (n, n):
+                raise ValueError(f"precision shape {prec.shape} does not match mean ({n},)")
+            self.precision = 0.5 * (prec + prec.T)
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
 
+    @property
+    def information(self) -> np.ndarray:
+        """The stored precision, else the inverse covariance."""
+        return self.precision if self.precision is not None else np.linalg.inv(self.cov)
+
+
+def information_product(mean_a, prec_a, mean_b, prec_b):
+    """Product of Gaussians given in information form, stacked over any
+    leading axes: precisions and precision-weighted means add. Returns
+    (mean, covariance, precision)."""
+    lam = prec_a + prec_b
+    cov = np.linalg.inv(lam)
+    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    weighted = prec_a @ mean_a[..., None] + prec_b @ mean_b[..., None]
+    return (cov @ weighted)[..., 0], cov, lam
+
 
 def gaussian_product(a: GaussianBelief, b: GaussianBelief) -> GaussianBelief:
-    """Information-form combination of two Gaussian beliefs (covariance
-    inverses and weighted means add)."""
-    ia = np.linalg.inv(a.cov)
-    ib = np.linalg.inv(b.cov)
-    lam = ia + ib
-    cov = np.linalg.inv(lam)
-    cov = 0.5 * (cov + cov.T)
-    mean = cov @ (ia @ a.mean + ib @ b.mean)
-    return GaussianBelief(mean, cov)
+    """Information-form combination of two Gaussian beliefs."""
+    return GaussianBelief(*information_product(a.mean, a.information, b.mean, b.information))
 
 
 def gaussian_to_vm(belief: GaussianBelief, subarray_ref: np.ndarray) -> VmPair:
@@ -195,39 +219,60 @@ def gaussian_to_vm(belief: GaussianBelief, subarray_ref: np.ndarray) -> VmPair:
 
 @dataclass(frozen=True)
 class GaOptions:
-    """Ascent controls: plain gradient steps with backtracking line search,
-    then curvature-based polish using the Hessian already needed for the
-    Laplace covariance."""
+    """Controls of the damped Newton ascent behind every Laplace fit.
 
-    step0: float = 1.0
+    Each step is a modified Newton step (`modified_newton_direction`) on
+    the analytic Hessian, shortened by ``backtrack`` until the Armijo
+    condition with constant ``armijo`` holds (at most ``max_backtracks``
+    times). A problem has converged when |gradient| < ``grad_tol`` *
+    max(1, |f|); it stops after ``max_polish`` steps.
+    """
+
     backtrack: float = 0.5
     armijo: float = 1e-4
     grad_tol: float = 1e-8
-    max_iter: int = 200
-    fd_step: float = 1e-6
-    newton_polish: bool = True
     max_polish: int = 40
     max_backtracks: int = 60
 
 
 @dataclass
 class LaplaceFit:
-    """Result of `laplace_fit`: the Gaussian plus convergence flags."""
+    """Result of `laplace_fit`: the Gaussian (mean, covariance and the
+    precision the covariance inverts) plus convergence flags.
+
+    `newton_fits` returns the same fields stacked along a leading problem
+    axis. ``n_polish_steps`` counts accepted Newton steps; there is no
+    gradient-ascent phase, so ``n_ga_steps`` is always 0 (it is kept for
+    readers of the step counts, such as the benchmark's tracer).
+    """
 
     mean: np.ndarray
     cov: np.ndarray
+    precision: np.ndarray
     converged: bool
     regularized: bool
-    n_ga_steps: int
     n_polish_steps: int = 0
+    n_ga_steps: int = 0
 
     @property
     def belief(self) -> GaussianBelief:
-        return GaussianBelief(self.mean, self.cov)
+        return GaussianBelief(self.mean, self.cov, self.precision)
+
+    def problem(self, i: int) -> "LaplaceFit":
+        """The fit of problem ``i`` of a stacked result."""
+        return LaplaceFit(
+            mean=self.mean[i],
+            cov=self.cov[i],
+            precision=self.precision[i],
+            converged=bool(self.converged[i]),
+            regularized=bool(self.regularized[i]),
+            n_polish_steps=int(self.n_polish_steps[i]),
+        )
 
 
 def finite_diff_gradient(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient with per-coordinate scaled steps."""
+    """Central-difference gradient with per-coordinate scaled steps (a
+    test oracle for the analytic gradients)."""
     x = np.asarray(x, dtype=float)
     g = np.zeros_like(x)
     for i in range(x.size):
@@ -240,7 +285,8 @@ def finite_diff_gradient(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
 
 
 def finite_diff_hessian(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Central second differences of a scalar function."""
+    """Central second differences of a scalar function (a test oracle for
+    the analytic Hessians)."""
     x = np.asarray(x, dtype=float)
     n = x.size
     h = np.array([step * max(1.0, abs(x[i])) for i in range(n)])
@@ -265,149 +311,161 @@ def finite_diff_hessian(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
     return hess
 
 
-def _hessian_from_gradient(grad, x: np.ndarray, step: float) -> np.ndarray:
-    n = x.size
-    hess = np.zeros((n, n))
-    for i in range(n):
-        h = step * max(1.0, abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        hess[:, i] = (grad(xp) - grad(xm)) / (2.0 * h)
-    return 0.5 * (hess + hess.T)
-
-
 def _capped_eigenpairs(hess: np.ndarray, floor: float):
-    """Eigenpairs of the symmetrized matrix with the eigenvalues capped at
-    -floor, and whether any was capped."""
-    vals, vecs = np.linalg.eigh(0.5 * (hess + hess.T))
-    return np.minimum(vals, -floor), vecs, bool(np.any(vals > -floor))
+    """Eigenpairs of the symmetrized matrices (..., n, n) with the
+    eigenvalues capped at -floor, and whether any was capped."""
+    vals, vecs = np.linalg.eigh(0.5 * (hess + np.swapaxes(hess, -1, -2)))
+    return np.minimum(vals, -floor), vecs, np.any(vals > -floor, axis=-1)
+
+
+def _from_eigenpairs(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    out = (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def regularize_hessian(hess: np.ndarray, floor: float = 1e-9):
-    """Force a symmetric matrix to be negative definite by capping its
-    eigenvalues at -floor. Returns (regularized matrix, was_modified)."""
+    """Force symmetric matrices (..., n, n) to be negative definite by
+    capping their eigenvalues at -floor. Returns (regularized matrix,
+    was_modified)."""
     vals, vecs, modified = _capped_eigenpairs(hess, floor)
-    return (vecs * vals) @ vecs.T, modified
+    return _from_eigenpairs(vals, vecs), modified
+
+
+def laplace_moments(hess: np.ndarray, floor: float = 1e-9):
+    """Laplace covariance -H^{-1} and precision -H of stacked Hessians
+    (..., n, n), with each H forced negative definite first by capping its
+    eigenvalues at -floor; returns (covariance, precision, was_modified).
+    Both come from one eigendecomposition: decomposing a rebuilt matrix
+    again would lose a -floor cap next to eigenvalues ~1e18 times larger
+    in rounding."""
+    vals, vecs, modified = _capped_eigenpairs(hess, floor)
+    return _from_eigenpairs(-1.0 / vals, vecs), _from_eigenpairs(-vals, vecs), modified
 
 
 def modified_newton_direction(hess: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Ascent direction B^{-1} g of a modified Newton step, where B is
-    -hess with every eigenvalue raised to NEWTON_CURVATURE_FLOOR times the
-    largest |eigenvalue| (Nocedal & Wright, Numerical Optimization,
-    sec. 3.4). Solving through the eigendecomposition keeps the step
-    finite however ill-conditioned or indefinite the Hessian is; a zero
-    Hessian yields the plain gradient."""
-    vals, vecs = np.linalg.eigh(-0.5 * (hess + hess.T))
-    scale = float(np.max(np.abs(vals)))
-    if scale == 0.0:
-        return g
+    """Ascent directions B^{-1} g of modified Newton steps for stacked
+    Hessians (..., n, n) and gradients (..., n), where B is -hess with
+    every eigenvalue raised to NEWTON_CURVATURE_FLOOR times the largest
+    |eigenvalue| (Nocedal & Wright, Numerical Optimization, sec. 3.4).
+    Solving through the eigendecomposition keeps the step finite however
+    ill-conditioned or indefinite the Hessian is; a zero Hessian yields
+    the plain gradient."""
+    vals, vecs = np.linalg.eigh(-0.5 * (hess + np.swapaxes(hess, -1, -2)))
+    scale = np.max(np.abs(vals), axis=-1, keepdims=True)
     vals = np.maximum(vals, NEWTON_CURVATURE_FLOOR * scale)
-    return vecs @ ((vecs.T @ g) / vals)
+    vals[(scale == 0.0)[..., 0]] = 1.0
+    coords = (np.swapaxes(vecs, -1, -2) @ g[..., None])[..., 0] / vals
+    return (vecs @ coords[..., None])[..., 0]
 
 
-def covariance_from_hessian(hess: np.ndarray, floor: float = 1e-9):
-    """Laplace covariance -H^{-1} with the Hessian forced negative
-    definite first; always symmetric PSD. The capped eigenpairs are
-    inverted directly: decomposing the rebuilt matrix again would lose a
-    -floor cap next to eigenvalues ~1e18 times larger in rounding."""
-    vals, vecs, modified = _capped_eigenpairs(hess, floor)
-    cov = (vecs * (-1.0 / vals)) @ vecs.T
-    return 0.5 * (cov + cov.T), modified
+def newton_fits(
+    value, derivatives, init: np.ndarray, opts: GaOptions = GaOptions()
+) -> LaplaceFit:
+    """Laplace fits of B independent log-densities in one stacked solve.
+
+    Every problem ascends from its row of ``init`` (B, n) by modified
+    Newton steps on its analytic Hessian, each with its own Armijo
+    backtracking; the line searches of all problems share one call of
+    ``value`` per trial step. The covariance is the negated inverse of
+    the capped Hessian at the last point (`laplace_moments`).
+
+    Parameters
+    ----------
+    value : callable
+        ``value(x, idx)`` maps points (b, n) of the problems ``idx`` (b,)
+        to their log densities (b,), up to a constant.
+    derivatives : callable
+        ``derivatives(x, idx)`` returns the log densities (b,), gradients
+        (b, n) and Hessians (b, n, n) at those points.
+
+    Returns a `LaplaceFit` whose fields carry a leading problem axis. A
+    problem has converged when its gradient passes the ``grad_tol`` test
+    or its accepted step is below 1e-14 of max(1, |x|); it stops without
+    converging when no backtracked step is accepted, or after
+    ``opts.max_polish`` steps.
+    """
+    x = np.array(init, dtype=float)
+    every = np.arange(x.shape[0])
+    f, g, hess = (np.array(a, dtype=float) for a in derivatives(x, every))
+
+    def stationary(f, g):
+        # objectives scale with the concentrations feeding them (up to
+        # ~1e12), so the stationarity test must scale along
+        return np.linalg.norm(g, axis=-1) < opts.grad_tol * np.maximum(1.0, np.abs(f))
+
+    converged = stationary(f, g)
+    stalled = np.zeros_like(converged)
+    steps = np.zeros(x.shape[0], dtype=int)
+    for _ in range(opts.max_polish):
+        active = np.flatnonzero(~converged & ~stalled)
+        if active.size == 0:
+            break
+        direction = modified_newton_direction(hess[active], g[active])
+        slope = np.sum(g[active] * direction, axis=-1)
+        step = np.ones(active.size)
+        accepted = np.zeros(active.size, dtype=bool)
+        pending = np.arange(active.size)
+        for _ in range(opts.max_backtracks):
+            trial = x[active[pending]] + step[pending, None] * direction[pending]
+            f_new = value(trial, active[pending])
+            ok = np.isfinite(f_new) & (
+                f_new >= f[active[pending]] + opts.armijo * step[pending] * slope[pending]
+            )
+            x[active[pending[ok]]] = trial[ok]
+            accepted[pending[ok]] = True
+            pending = pending[~ok]
+            if pending.size == 0:
+                break
+            step[pending] *= opts.backtrack
+        stalled[active[~accepted]] = True
+        moved = active[accepted]
+        if moved.size == 0:
+            continue
+        f[moved], g[moved], hess[moved] = derivatives(x[moved], moved)
+        steps[moved] += 1
+        taken = np.linalg.norm(step[accepted, None] * direction[accepted], axis=-1)
+        converged[moved] = stationary(f[moved], g[moved]) | (
+            taken < 1e-14 * np.maximum(1.0, np.linalg.norm(x[moved], axis=-1))
+        )
+
+    cov, precision, regularized = laplace_moments(hess)
+    return LaplaceFit(
+        mean=x,
+        cov=cov,
+        precision=precision,
+        converged=converged,
+        regularized=regularized,
+        n_polish_steps=steps,
+        n_ga_steps=np.zeros_like(steps),
+    )
 
 
 def laplace_fit(
-    log_density,
-    init: np.ndarray,
-    grad=None,
-    hess=None,
-    opts: GaOptions = GaOptions(),
+    log_density, init: np.ndarray, grad, hess, opts: GaOptions = GaOptions()
 ) -> LaplaceFit:
-    """Gaussian fit to a log-density: mean at a local maximum reached by
-    gradient ascent (optionally polished with curvature steps), covariance
-    from the negated inverse Hessian at the mode.
+    """Gaussian fit to one log-density: `newton_fits` on a single problem.
 
     Parameters
     ----------
     log_density : callable
         Maps an (n,) point to a scalar log density (up to a constant).
     init : array_like
-        Starting point for the ascent.
-    grad, hess : callable, optional
-        Analytic gradient / Hessian; central differences otherwise.
+        Starting point of the ascent.
+    grad, hess : callable
+        Analytic gradient (n,) and Hessian (n, n) of ``log_density``.
     """
-    x = np.atleast_1d(np.asarray(init, dtype=float)).copy()
-    g_fn = grad if grad is not None else (
-        lambda p: finite_diff_gradient(log_density, p, opts.fd_step)
-    )
-    f_val = log_density(x)
+    x0 = np.atleast_1d(np.asarray(init, dtype=float))
+    n = x0.size
 
-    def _tol(f):
-        # objectives scale with the concentrations feeding them (up to
-        # ~1e12), so the stationarity test must scale along
-        return opts.grad_tol * max(1.0, abs(f))
+    def value(x, _):
+        return np.array([log_density(x[0])], dtype=float)
 
-    g = g_fn(x)
-    n_ga = 0
-    converged = np.linalg.norm(g) < _tol(f_val)
-    step = opts.step0
-    while not converged and n_ga < opts.max_iter:
-        direction = g
-        gnorm_sq = float(g @ g)
-        step = opts.step0
-        accepted = False
-        for _ in range(opts.max_backtracks):
-            x_new = x + step * direction
-            f_new = log_density(x_new)
-            if np.isfinite(f_new) and f_new >= f_val + opts.armijo * step * gnorm_sq:
-                accepted = True
-                break
-            step *= opts.backtrack
-        if not accepted:
-            break
-        x, f_val = x_new, f_new
-        g = g_fn(x)
-        n_ga += 1
-        if np.linalg.norm(g) < _tol(f_val):
-            converged = True
+    def derivatives(x, _):
+        p = x[0]
+        return (
+            value(x, _),
+            np.asarray(grad(p), dtype=float).reshape(1, n),
+            np.asarray(hess(p), dtype=float).reshape(1, n, n),
+        )
 
-    def hess_at(p):
-        if hess is not None:
-            return np.atleast_2d(np.asarray(hess(p), dtype=float))
-        if grad is not None:
-            return _hessian_from_gradient(g_fn, p, opts.fd_step)
-        return finite_diff_hessian(log_density, p, 10.0 * opts.fd_step)
-
-    n_polish = 0
-    if opts.newton_polish:
-        while not converged and n_polish < opts.max_polish:
-            direction = modified_newton_direction(hess_at(x), g)
-            slope = float(g @ direction)
-            step = 1.0
-            accepted = False
-            for _ in range(opts.max_backtracks):
-                x_new = x + step * direction
-                f_new = log_density(x_new)
-                if np.isfinite(f_new) and f_new >= f_val + opts.armijo * step * slope:
-                    accepted = True
-                    break
-                step *= opts.backtrack
-            if not accepted:
-                break
-            x, f_val = x_new, f_new
-            g = g_fn(x)
-            n_polish += 1
-            if np.linalg.norm(g) < _tol(f_val) or np.linalg.norm(
-                step * direction
-            ) < 1e-14 * max(1.0, np.linalg.norm(x)):
-                converged = True
-
-    cov, regularized = covariance_from_hessian(hess_at(x))
-    return LaplaceFit(
-        mean=x,
-        cov=cov,
-        converged=bool(converged),
-        regularized=regularized,
-        n_ga_steps=n_ga,
-        n_polish_steps=n_polish,
-    )
+    return newton_fits(value, derivatives, x0[None], opts).problem(0)

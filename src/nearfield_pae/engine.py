@@ -14,8 +14,15 @@ One iteration alternates two stages over a partitioned BS array:
    with leave-one-subarray-out composites to form the next iteration's
    antenna-position messages.
 
-After the final iteration the pose of each MS is the MAP point of the
-all-slots objective.
+Every Laplace fit is a damped Newton ascent on an analytic Hessian, and
+each stage solves all its problems at once (`circular.newton_fits`): the
+K*T fusion fits, the K*T leave-one-slot-out pose fits and the M*K*T
+leave-one-subarray-out fits, each the full composite with one subarray's
+concentrations masked to zero. After the final iteration the pose of
+each MS is the MAP point of the all-slots objective.
+
+Stage functions return their flags as (MS index, name) pairs, and `run`
+hands every MS its own flags on the returned `PoseEstimate`.
 """
 
 from __future__ import annotations
@@ -37,18 +44,23 @@ from .channel import ReceivedSignal, ScenarioConfig, extract_subarray
 from .circular import (
     GaOptions,
     GaussianBelief,
-    gaussian_product,
     gaussian_to_vm,
+    information_product,
     laplace_fit,
+    newton_fits,
 )
 from .geometry import (
     EulerAngles,
     Pose,
     RotationBasis,
     canonicalize_euler,
+    direction_cosine_derivatives,
+    direction_cosine_hessian,
     euler_from_rotation,
+    ray_from_cosines,
     rotation_basis,
     rotation_basis_derivatives,
+    rotation_basis_second_derivatives,
     rotation_matrix_from_theta,
 )
 from .partition import PartitionPlan
@@ -73,9 +85,8 @@ class EstimatorConfig:
     attitude_prior_chi: tuple = (0.0, 0.0, 0.0)
     attitude_prior_kappa: tuple = (1e-6, 1e-6, 1e-6)
     nominal_range: float | None = None
-    # few plain-gradient steps; the curvature polish inside laplace_fit
-    # does the heavy lifting on these smooth objectives
-    ga: GaOptions = GaOptions(max_iter=8)
+    # damped Newton on analytic Hessians for every Laplace fit
+    ga: GaOptions = GaOptions()
     aoa: AoaOptions = AoaOptions()
 
     def resolve(self, scenario: ScenarioConfig) -> "EstimatorConfig":
@@ -111,7 +122,7 @@ class MessageState:
     ext_kappa: np.ndarray  # (M, K, T, 2)
     coeff_mag: np.ndarray  # (M, K, T)
     fused_mean: np.ndarray  # (K, T, 3)
-    fused_cov: np.ndarray  # (K, T, 3, 3)
+    fused_prec: np.ndarray  # (K, T, 3, 3), the capped -H of each fusion fit
     fused_ok: np.ndarray  # (K, T) bool
     pose_mean: np.ndarray  # (K, T, 6)
     pose_cov_p: np.ndarray  # (K, T, 3, 3)
@@ -120,7 +131,7 @@ class MessageState:
     eta_cov: np.ndarray  # (K, T, 3, 3)
     iteration: int = 0
     have_pose: bool = False
-    flags: list = field(default_factory=list)
+    flags: list = field(default_factory=list)  # (MS index, name) pairs
 
     @property
     def shape(self) -> tuple:
@@ -143,7 +154,7 @@ def init_messages(m_count: int, k_count: int, t_count: int, cfg: EstimatorConfig
         ext_kappa=np.zeros((m_count, k_count, t_count, 2)),
         coeff_mag=np.zeros((m_count, k_count, t_count)),
         fused_mean=np.zeros((k_count, t_count, 3)),
-        fused_cov=np.tile(np.eye(3), (k_count, t_count, 1, 1)),
+        fused_prec=np.tile(np.eye(3), (k_count, t_count, 1, 1)),
         fused_ok=np.zeros((k_count, t_count), dtype=bool),
         pose_mean=np.zeros((k_count, t_count, 6)),
         pose_cov_p=np.tile(np.eye(3), (k_count, t_count, 1, 1)),
@@ -157,39 +168,59 @@ def init_messages(m_count: int, k_count: int, t_count: int, cfg: EstimatorConfig
 # composite cosine-belief objective (the position-space likelihood message)
 
 
-def composite_vm_value(p: np.ndarray, refs: np.ndarray, chis: np.ndarray, kappas: np.ndarray) -> float:
-    """Sum over subarrays/axes of kappa * cos(pi * phi_axis(p) - chi)."""
-    diff = np.asarray(p, dtype=float)[None, :] - refs
-    r = np.linalg.norm(diff, axis=1)
-    phi = diff[:, :2] / r[:, None]
-    return float(np.sum(kappas * np.cos(np.pi * phi - chis)))
+def composite_vm_value(
+    p: np.ndarray, refs: np.ndarray, chis: np.ndarray, kappas: np.ndarray
+):
+    """Sum over subarrays/axes of kappa * cos(pi * phi_axis(p) - chi).
+
+    Stacks over leading axes: points (..., 3) with ``chis`` and ``kappas``
+    (..., M, 2) give values (...); one point gives a float.
+    """
+    diff = np.asarray(p, dtype=float)[..., None, :] - refs
+    phi = diff[..., :2] / np.linalg.norm(diff, axis=-1)[..., None]
+    val = np.sum(kappas * np.cos(np.pi * phi - chis), axis=(-2, -1))
+    return float(val) if val.ndim == 0 else val
 
 
-def composite_vm_grad(p: np.ndarray, refs: np.ndarray, chis: np.ndarray, kappas: np.ndarray) -> np.ndarray:
+def composite_vm_terms(
+    p: np.ndarray, refs: np.ndarray, chis: np.ndarray, kappas: np.ndarray
+):
+    """Value, gradient (..., 3) and Hessian (..., 3, 3) of
+    `composite_vm_value`, stacked the same way.
+
+    With w_l = kappa_l sin(pi phi_l - chi_l), the gradient is
+    -pi sum w_l dphi_l and the Hessian -pi^2 sum kappa_l cos(.) dphi_l
+    dphi_l^T - pi sum w_l d2phi_l; the second sum is contracted inside
+    `geometry.direction_cosine_hessian`.
+    """
+    diff = np.asarray(p, dtype=float)[..., None, :] - refs
+    phi, jac = direction_cosine_derivatives(diff)
+    arg = np.pi * phi - chis
+    curv = kappas * np.cos(arg)
+    slope = -np.pi * kappas * np.sin(arg)
+    grad = np.einsum("...ml,...mlx->...x", slope, jac)
+    hess = -np.pi**2 * np.einsum("...ml,...mlx,...mly->...xy", curv, jac, jac)
+    hess += direction_cosine_hessian(diff, slope)
+    return np.sum(curv, axis=(-2, -1)), grad, hess
+
+
+def composite_vm_grad(
+    p: np.ndarray, refs: np.ndarray, chis: np.ndarray, kappas: np.ndarray
+) -> np.ndarray:
     """Analytic gradient of `composite_vm_value` w.r.t. the position."""
-    diff = np.asarray(p, dtype=float)[None, :] - refs
-    r = np.linalg.norm(diff, axis=1)
-    u = diff / r[:, None]
-    phi = u[:, :2]
-    s = kappas * np.sin(np.pi * phi - chis)  # (M, 2)
-    grad = np.zeros(3)
-    for axis in range(2):
-        e = np.zeros(3)
-        e[axis] = 1.0
-        dphi = (e[None, :] - phi[:, axis : axis + 1] * u) / r[:, None]
-        grad -= np.pi * np.sum(s[:, axis : axis + 1] * dphi, axis=0)
-    return grad
+    return composite_vm_terms(p, refs, chis, kappas)[1]
 
 
-def back_projected_direction(chi: np.ndarray) -> np.ndarray:
-    """Unit direction (front half-space) from a pair of extrinsic mean
-    angles over the scaled cosines."""
-    phi = np.asarray(chi, dtype=float) / np.pi
-    sq = float(phi @ phi)
-    if sq > 1.0:
-        phi = phi / math.sqrt(sq)
-        sq = 1.0
-    return np.array([phi[0], phi[1], math.sqrt(max(0.0, 1.0 - sq))])
+def composite_fits(refs, chis, kappas, inits, opts: GaOptions):
+    """Laplace fits of stacked composites in one Newton solve: problem b
+    has beliefs ``chis[b]``, ``kappas[b]`` (M, 2) and starts at
+    ``inits[b]``."""
+    return newton_fits(
+        lambda x, idx: composite_vm_value(x, refs, chis[idx], kappas[idx]),
+        lambda x, idx: composite_vm_terms(x, refs, chis[idx], kappas[idx]),
+        inits,
+        opts,
+    )
 
 
 def triangulate_init(
@@ -205,7 +236,7 @@ def triangulate_init(
     usable = np.flatnonzero(strength > _KAPPA_FLOOR)
     if usable.size == 0:
         return np.array([0.0, 0.0, nominal_range])
-    dirs = np.array([back_projected_direction(chis[m]) for m in usable])
+    dirs = np.array([ray_from_cosines(chis[m] / np.pi) for m in usable])
     if usable.size == 1:
         return refs[usable[0]] + nominal_range * dirs[0]
     # most widely separated pair of reference antennas
@@ -230,43 +261,77 @@ def triangulate_init(
     return p
 
 
-def fuse_antenna_position(
-    state: MessageState, k: int, t: int, plan: PartitionPlan, cfg: EstimatorConfig
-):
-    """Laplace-fit the product of all subarrays' cosine beliefs for one
-    activated antenna; returns (belief, ok, flags)."""
-    refs = plan.reference_positions()
-    chis = state.ext_chi[:, k, t, :]
-    kappas = state.ext_kappa[:, k, t, :]
-    if np.all(kappas <= _KAPPA_FLOOR):
-        init = state.prior_mean[0, k, t]
-        belief = GaussianBelief(init, cfg.sigma_ini**2 * np.eye(3))
-        return belief, False, ["flat_composite"]
-    if state.iteration > 0 and state.fused_ok[k, t]:
-        init = state.fused_mean[k, t]
-    else:
-        init = triangulate_init(refs, chis, kappas, cfg.nominal_range)
-    fit = laplace_fit(
-        lambda p: composite_vm_value(p, refs, chis, kappas),
-        init,
-        grad=lambda p: composite_vm_grad(p, refs, chis, kappas),
-        opts=cfg.ga,
-    )
+def _stage_flags(raised: dict, shape: tuple) -> list:
+    """(MS, flag) pairs of a stage whose stacked problems are indexed
+    (K, T) or (M, K, T) as ``shape``: one per problem and flag name whose
+    boolean array in ``raised`` is set there, tagged with the problem's
+    indices."""
     flags = []
-    if not fit.converged:
-        flags.append("fusion_nonconverged")
-    if fit.regularized:
-        flags.append("fusion_regularized")
-    if np.linalg.norm(fit.mean) > 50.0 * cfg.nominal_range:
-        # a flat or conflicting composite let the ascent run away; keep the
-        # initialization with a non-informative covariance instead
-        belief = GaussianBelief(init, cfg.sigma_ini**2 * np.eye(3))
-        return belief, False, flags + ["fusion_diverged"]
-    return GaussianBelief(fit.mean, fit.cov), fit.converged, flags
+    for b, index in enumerate(np.ndindex(*shape)):
+        tag = "".join(f"{axis}{i}" for axis, i in zip("mkt"[-len(shape) :], index))
+        flags += [(index[-2], f"{name}_{tag}") for name, mask in raised.items() if mask[b]]
+    return flags
+
+
+def _flat_problems(kappas: np.ndarray) -> np.ndarray:
+    """Problems (..., M, 2) whose composite carries no information."""
+    return np.all(kappas <= _KAPPA_FLOOR, axis=(-2, -1))
+
+
+def fuse_antenna_position(state: MessageState, plan: PartitionPlan, cfg: EstimatorConfig):
+    """Laplace-fit, for every (MS, slot), the product of all subarrays'
+    cosine beliefs about that activated antenna, in one stacked solve.
+
+    Writes ``fused_mean``, ``fused_prec`` and ``fused_ok``; a flat or
+    runaway composite keeps its start point with precision
+    I / sigma_ini^2. Returns (MS, flag) pairs.
+    """
+    m_count, k_count, t_count = state.shape
+    refs = plan.reference_positions()
+    chis = state.ext_chi.transpose(1, 2, 0, 3).reshape(-1, m_count, 2)
+    kappas = state.ext_kappa.transpose(1, 2, 0, 3).reshape(-1, m_count, 2)
+    flat = _flat_problems(kappas)
+    mean = np.empty((k_count * t_count, 3))
+    for b, (k, t) in enumerate(np.ndindex(k_count, t_count)):
+        if flat[b]:
+            mean[b] = state.prior_mean[0, k, t]
+        elif state.iteration > 0 and state.fused_ok[k, t]:
+            mean[b] = state.fused_mean[k, t]
+        else:
+            mean[b] = triangulate_init(refs, chis[b], kappas[b], cfg.nominal_range)
+    prec = np.tile(np.eye(3) / cfg.sigma_ini**2, (k_count * t_count, 1, 1))
+    ok = np.zeros(k_count * t_count, dtype=bool)
+    nonconverged, regularized, diverged = (np.zeros_like(ok) for _ in range(3))
+    solve = np.flatnonzero(~flat)
+    if solve.size:
+        fits = composite_fits(refs, chis[solve], kappas[solve], mean[solve], cfg.ga)
+        nonconverged[solve] = ~fits.converged
+        regularized[solve] = fits.regularized
+        # a flat or conflicting composite can let the ascent run away;
+        # such a problem keeps its start with the non-informative precision
+        diverged[solve] = np.linalg.norm(fits.mean, axis=1) > 50.0 * cfg.nominal_range
+        kept = ~diverged[solve]
+        mean[solve[kept]] = fits.mean[kept]
+        prec[solve[kept]] = fits.precision[kept]
+        ok[solve[kept]] = fits.converged[kept]
+    state.fused_mean[:] = mean.reshape(k_count, t_count, 3)
+    state.fused_prec[:] = prec.reshape(k_count, t_count, 3, 3)
+    state.fused_ok[:] = ok.reshape(k_count, t_count)
+    raised = {
+        "flat_composite": flat,
+        "fusion_nonconverged": nonconverged,
+        "fusion_regularized": regularized,
+        "fusion_diverged": diverged,
+    }
+    return _stage_flags(raised, (k_count, t_count))
 
 
 # ---------------------------------------------------------------------------
 # pose objective (leave-one-out messages and the final MAP share it)
+
+
+# attitude priors act on (roll, 2 pitch, yaw)
+_ANGLE_MULTIPLIER = np.array([1.0, 2.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -278,23 +343,78 @@ class PosePrior:
     chi: np.ndarray
     kappa: np.ndarray
 
-    def log_pdf_terms(self, p: np.ndarray, theta: np.ndarray) -> float:
-        val = -0.5 * float(p @ p) / self.position_std**2
-        val += self.kappa[0] * math.cos(theta[0] - self.chi[0])
-        val += self.kappa[1] * math.cos(2.0 * theta[1] - self.chi[1])
-        val += self.kappa[2] * math.cos(theta[2] - self.chi[2])
-        return val
+    def terms(self, p: np.ndarray, theta: np.ndarray):
+        """Log density (B,), gradient (B, 6) and Hessian diagonal (B, 6)
+        at stacked positions and attitudes (B, 3); the Hessian is
+        diagonal."""
+        var = self.position_std**2
+        arg = _ANGLE_MULTIPLIER * theta - self.chi
+        value = -0.5 * np.sum(p * p, axis=-1) / var + np.sum(self.kappa * np.cos(arg), axis=-1)
+        grad = np.concatenate([-p / var, -_ANGLE_MULTIPLIER * self.kappa * np.sin(arg)], axis=-1)
+        curv = -(_ANGLE_MULTIPLIER**2) * self.kappa * np.cos(arg)
+        diag = np.concatenate([np.full(p.shape, -1.0 / var), curv], axis=-1)
+        return value, grad, diag
 
-    def grad_terms(self, p: np.ndarray, theta: np.ndarray):
-        gp = -p / self.position_std**2
-        gt = np.array(
-            [
-                -self.kappa[0] * math.sin(theta[0] - self.chi[0]),
-                -2.0 * self.kappa[1] * math.sin(2.0 * theta[1] - self.chi[1]),
-                -self.kappa[2] * math.sin(theta[2] - self.chi[2]),
-            ]
-        )
-        return gp, gt
+
+def _estimator_prior(cfg: EstimatorConfig) -> PosePrior:
+    return PosePrior(
+        cfg.position_prior_std,
+        np.asarray(cfg.attitude_prior_chi, dtype=float),
+        np.asarray(cfg.attitude_prior_kappa, dtype=float),
+    )
+
+
+def pose_terms(
+    x: np.ndarray,
+    obs_means: np.ndarray,
+    obs_weights: np.ndarray,
+    q_locals: np.ndarray,
+    prior: PosePrior,
+    order: int = 2,
+):
+    """The pose log posterior (B,) of stacked problems with, unless
+    ``order`` is 0, its gradient (B, 6) and Hessian (B, 6, 6).
+
+    Problem b scores the pose x[b] = (position, roll, pitch, yaw) against
+    Gaussian antenna-position observations ``obs_means[b]`` (B, T, 3) with
+    precisions ``obs_weights[b]`` (B, T, 3, 3) of the antennas at local
+    offsets ``q_locals`` (T, 2) or (B, T, 2): -1/2 sum_t e_t^T W_t e_t with
+    residuals e_t = o_t - p - R(theta) q_t, plus the priors. The Hessian
+    is the Gauss-Newton term -J^T W J, the residual term through the
+    basis's second derivatives, and the prior's diagonal. A zero weight
+    drops an observation.
+    """
+    x = np.asarray(x, dtype=float)
+    p, theta = x[:, :3], x[:, 3:]
+    q = np.broadcast_to(q_locals, obs_means.shape[:2] + (2,))
+    basis = np.stack([rotation_matrix_from_theta(th) for th in theta])
+    e = obs_means - p[:, None, :] - np.einsum("bxc,btc->btx", basis, q)
+    we = np.einsum("btxy,bty->btx", obs_weights, e)
+    value, prior_grad, prior_diag = prior.terms(p, theta)
+    value = value - 0.5 * np.sum(e * we, axis=(1, 2))
+    if order == 0:
+        return value
+    # J_t = d(p + R q_t)/dx = [I, D_t], D_t[:, a] = dR/dtheta_a q_t
+    dbasis = np.stack([rotation_basis_derivatives(th) for th in theta])
+    d2basis = np.stack([rotation_basis_second_derivatives(th) for th in theta])
+    jac = np.concatenate(
+        [
+            np.broadcast_to(np.eye(3), e.shape + (3,)),
+            np.einsum("baxc,btc->btxa", dbasis, q),
+        ],
+        axis=-1,
+    )
+    grad = np.einsum("btxa,btx->ba", jac, we) + prior_grad
+    hess = -np.einsum("btxa,btxy,btyc->bac", jac, obs_weights, jac)
+    hess[:, 3:, 3:] += np.einsum("bacxk,btk,btx->bac", d2basis, q, we)
+    hess += np.einsum("ba,ac->bac", prior_diag, np.eye(6))
+    return value, grad, hess
+
+
+def _single_pose_terms(x, obs_means, obs_weights, q_locals, prior, order=2):
+    return pose_terms(
+        np.asarray(x)[None], obs_means[None], obs_weights[None], q_locals, prior, order
+    )
 
 
 def pose_objective(
@@ -304,15 +424,9 @@ def pose_objective(
     q_locals: np.ndarray,
     prior: PosePrior,
 ) -> float:
-    """log posterior of (position, attitude) given Gaussian antenna-position
-    observations: sum of quadratic residual terms plus the priors."""
-    p, theta = x[:3], x[3:]
-    basis = rotation_matrix_from_theta(theta)
-    val = 0.0
-    for i in range(obs_means.shape[0]):
-        e = obs_means[i] - p - basis @ q_locals[i]
-        val -= 0.5 * float(e @ obs_weights[i] @ e)
-    return val + prior.log_pdf_terms(p, theta)
+    """log posterior of one (position, attitude) given Gaussian
+    antenna-position observations: `pose_terms` on a single problem."""
+    return float(_single_pose_terms(x, obs_means, obs_weights, q_locals, prior, 0)[0])
 
 
 def pose_gradient(
@@ -323,19 +437,18 @@ def pose_gradient(
     prior: PosePrior,
 ) -> np.ndarray:
     """Analytic gradient of `pose_objective`."""
-    p, theta = x[:3], x[3:]
-    basis = rotation_matrix_from_theta(theta)
-    dbasis = rotation_basis_derivatives(theta)
-    grad = np.zeros(6)
-    for i in range(obs_means.shape[0]):
-        we = obs_weights[i] @ (obs_means[i] - p - basis @ q_locals[i])
-        grad[:3] += we
-        for axis in range(3):
-            grad[3 + axis] += float((dbasis[axis] @ q_locals[i]) @ we)
-    gp, gt = prior.grad_terms(p, theta)
-    grad[:3] += gp
-    grad[3:] += gt
-    return grad
+    return _single_pose_terms(x, obs_means, obs_weights, q_locals, prior)[1][0]
+
+
+def pose_hessian(
+    x: np.ndarray,
+    obs_means: np.ndarray,
+    obs_weights: np.ndarray,
+    q_locals: np.ndarray,
+    prior: PosePrior,
+) -> np.ndarray:
+    """Analytic Hessian of `pose_objective`."""
+    return _single_pose_terms(x, obs_means, obs_weights, q_locals, prior)[2][0]
 
 
 def procrustes_pose(obs_means: np.ndarray, q_locals: np.ndarray) -> np.ndarray:
@@ -362,55 +475,51 @@ def procrustes_pose(obs_means: np.ndarray, q_locals: np.ndarray) -> np.ndarray:
     return np.concatenate([p, angles.as_array()])
 
 
-def update_pose_messages(
-    state: MessageState, k: int, q_locals: np.ndarray, cfg: EstimatorConfig
-):
-    """Leave-one-slot-out MAP pose messages for MS ``k``.
+def update_pose_messages(state: MessageState, q_locals: np.ndarray, cfg: EstimatorConfig):
+    """Leave-one-slot-out MAP pose messages of every MS, in one stacked
+    solve, pushed back to the antennas.
 
-    For each slot t, the pose is fit to the fused antenna positions of the
-    other slots; covariance blocks come from the 6x6 Laplace fit. Results
-    are written into the state. Returns accumulated flags.
+    Problem (k, t) fits MS k's pose to the fused antenna positions of its
+    other slots (those fused successfully, or all others if none was),
+    weighted by their fusion precisions; its 6x6 Laplace covariance gives
+    the position and attitude blocks. Writes the pose messages and their
+    projections `project_pose_to_antennas`; returns (MS, flag) pairs.
     """
-    t_count = state.fused_mean.shape[1]
-    prior = PosePrior(
-        cfg.position_prior_std,
-        np.asarray(cfg.attitude_prior_chi, dtype=float),
-        np.asarray(cfg.attitude_prior_kappa, dtype=float),
+    k_count, t_count = state.fused_mean.shape[:2]
+    others = ~np.eye(t_count, dtype=bool)
+    use = others & state.fused_ok[:, None, :]
+    use = np.where(np.any(use, axis=2, keepdims=True), use, others)  # (K, T, T)
+    obs = np.broadcast_to(state.fused_mean[:, None], (k_count, t_count, t_count, 3))
+    obs = obs.reshape(-1, t_count, 3)
+    weights = (state.fused_prec[:, None] * use[..., None, None]).reshape(-1, t_count, 3, 3)
+    use = use.reshape(-1, t_count)
+    if state.have_pose:
+        init = state.pose_mean.reshape(-1, 6)
+    else:
+        init = np.array([procrustes_pose(o[u], q_locals[u]) for o, u in zip(obs, use)])
+    prior = _estimator_prior(cfg)
+    fits = newton_fits(
+        lambda x, idx: pose_terms(x, obs[idx], weights[idx], q_locals, prior, order=0),
+        lambda x, idx: pose_terms(x, obs[idx], weights[idx], q_locals, prior),
+        init,
+        cfg.ga,
     )
-    weights = np.zeros((t_count, 3, 3))
-    for t in range(t_count):
-        weights[t] = np.linalg.inv(state.fused_cov[k, t])
-    flags = []
-    for t in range(t_count):
-        idx = [tt for tt in range(t_count) if tt != t and state.fused_ok[k, tt]]
-        if not idx:
-            idx = [tt for tt in range(t_count) if tt != t]
-        obs = state.fused_mean[k, idx]
-        w = weights[idx]
-        q = q_locals[idx]
-        if state.have_pose:
-            init = state.pose_mean[k, t]
-        else:
-            init = procrustes_pose(obs, q)
-        fit = laplace_fit(
-            lambda x: pose_objective(x, obs, w, q, prior),
-            init,
-            grad=lambda x: pose_gradient(x, obs, w, q, prior),
-            opts=cfg.ga,
-        )
-        state.pose_mean[k, t] = fit.mean
-        state.pose_cov_p[k, t] = fit.cov[:3, :3]
-        state.pose_cov_theta[k, t] = fit.cov[3:, 3:]
-        if not fit.converged:
-            flags.append(f"pose_nonconverged_k{k}t{t}")
-        if fit.regularized:
-            flags.append(f"pose_regularized_k{k}t{t}")
-        vals = np.linalg.eigvalsh(fit.cov)
-        if vals[-1] > 1e12 * max(vals[0], 1e-300):
-            # an unobservable pose direction (e.g. rotation about a
-            # collinear antenna pattern) survives only through the prior
-            flags.append(f"pose_near_singular_k{k}t{t}")
-    return flags
+    state.pose_mean[:] = fits.mean.reshape(k_count, t_count, 6)
+    state.pose_cov_p[:] = fits.cov[:, :3, :3].reshape(k_count, t_count, 3, 3)
+    state.pose_cov_theta[:] = fits.cov[:, 3:, 3:].reshape(k_count, t_count, 3, 3)
+    for k, t in np.ndindex(k_count, t_count):
+        eta = project_pose_to_antennas(state, k, t, q_locals[t])
+        state.eta_mean[k, t] = eta.mean
+        state.eta_cov[k, t] = eta.cov
+    vals = np.linalg.eigvalsh(fits.cov)
+    raised = {
+        "pose_nonconverged": ~fits.converged,
+        "pose_regularized": fits.regularized,
+        # an unobservable pose direction (e.g. rotation about a collinear
+        # antenna pattern) survives only through the prior
+        "pose_near_singular": vals[:, -1] > 1e12 * np.maximum(vals[:, 0], 1e-300),
+    }
+    return _stage_flags(raised, (k_count, t_count))
 
 
 def project_pose_to_antennas(
@@ -427,31 +536,47 @@ def project_pose_to_antennas(
     return GaussianBelief(mean, 0.5 * (cov + cov.T))
 
 
-def feedback_messages(
-    state: MessageState, m: int, k: int, t: int, plan: PartitionPlan, cfg: EstimatorConfig
-):
-    """Next-iteration antenna-position message for subarray ``m``: the
-    pose-projected belief combined (information form) with the Laplace fit
-    of the leave-subarray-m-out composite cosine belief."""
-    eta = GaussianBelief(state.eta_mean[k, t], state.eta_cov[k, t])
-    m_count = state.shape[0]
+def feedback_messages(state: MessageState, plan: PartitionPlan, cfg: EstimatorConfig):
+    """Next-iteration antenna-position messages of every (subarray, MS,
+    slot), with all leave-one-subarray-out fits in one stacked solve.
+
+    The message for subarray m combines, in information form, the
+    pose-projected belief with the Laplace fit of the composite in which
+    subarray m's concentrations are masked to zero. A flat or indefinite
+    leave-one-out composite leaves the pose-projected belief alone.
+    Writes ``prior_mean`` and ``prior_cov``; returns (MS, flag) pairs.
+    """
+    m_count, k_count, t_count = state.shape
+    eta_mean = np.broadcast_to(state.eta_mean, state.prior_mean.shape)
+    eta_cov = np.broadcast_to(state.eta_cov, state.prior_cov.shape)
+    state.prior_mean[:] = eta_mean
+    state.prior_cov[:] = eta_cov
     if m_count == 1:
-        return eta, []
-    keep = [mm for mm in range(m_count) if mm != m]
-    refs = plan.reference_positions()[keep]
-    chis = state.ext_chi[keep, k, t, :]
-    kappas = state.ext_kappa[keep, k, t, :]
-    if np.all(kappas <= _KAPPA_FLOOR):
-        return eta, ["gamma_flat"]
-    fit = laplace_fit(
-        lambda p: composite_vm_value(p, refs, chis, kappas),
-        state.fused_mean[k, t],
-        grad=lambda p: composite_vm_grad(p, refs, chis, kappas),
-        opts=cfg.ga,
-    )
-    if fit.regularized:
-        return eta, ["gamma_indefinite_dropped"]
-    return gaussian_product(eta, fit.belief), []
+        return []
+    refs = plan.reference_positions()
+    shape = (m_count, k_count, t_count, m_count, 2)
+    chis = np.broadcast_to(state.ext_chi.transpose(1, 2, 0, 3), shape).reshape(-1, m_count, 2)
+    masked = 1.0 - np.eye(m_count)[:, None, None, :, None]
+    kappas = (state.ext_kappa.transpose(1, 2, 0, 3) * masked).reshape(-1, m_count, 2)
+    inits = np.broadcast_to(state.fused_mean, eta_mean.shape).reshape(-1, 3)
+    flat = _flat_problems(kappas)
+    dropped = np.zeros_like(flat)
+    solve = np.flatnonzero(~flat)
+    if solve.size:
+        fits = composite_fits(refs, chis[solve], kappas[solve], inits[solve], cfg.ga)
+        dropped[solve] = fits.regularized
+        used = solve[~fits.regularized]
+        mean, cov, _ = information_product(
+            eta_mean.reshape(-1, 3)[used],
+            np.linalg.inv(eta_cov.reshape(-1, 3, 3)[used]),
+            fits.mean[~fits.regularized],
+            fits.precision[~fits.regularized],
+        )
+        cell = np.unravel_index(used, (m_count, k_count, t_count))
+        state.prior_mean[cell] = mean
+        state.prior_cov[cell] = cov
+    raised = {"gamma_flat": flat, "gamma_indefinite_dropped": dropped}
+    return _stage_flags(raised, (m_count, k_count, t_count))
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +627,7 @@ def aoa_module_pass(
     cfg: EstimatorConfig,
 ):
     """Run the line-spectral stage on every (subarray, slot) and store the
-    extrinsic cosine beliefs."""
+    extrinsic cosine beliefs; returns (MS, flag) pairs."""
     m_count, k_count, t_count = state.shape
     refs = plan.reference_positions()
     posts_by_mt = [[None] * t_count for _ in range(m_count)]
@@ -537,7 +662,7 @@ def aoa_module_pass(
                 state.ext_kappa[m, k, t] = kappa
                 state.coeff_mag[m, k, t] = abs(posts_by_mt[m][t][k].coeff_mean)
                 if any(posts_by_mt[m][t][k].curvature_fallback):
-                    flags.append(f"aoa_curvature_m{m}k{k}t{t}")
+                    flags.append((k, f"aoa_curvature_m{m}k{k}t{t}"))
     return flags
 
 
@@ -547,7 +672,11 @@ def aoa_module_pass(
 
 @dataclass
 class PoseEstimate:
-    """Estimated pose of one MS with Laplace covariance diagnostics."""
+    """Estimated pose of one MS with Laplace covariance diagnostics.
+
+    ``flags`` holds the distinct flags raised for this MS by any stage of
+    the estimator, in the order first raised.
+    """
 
     position: np.ndarray
     attitude: EulerAngles
@@ -567,25 +696,20 @@ def final_map(
 ) -> list:
     """All-slots MAP pose per MS, seeded by the better of the closed-form
     alignment fit and the last pose message."""
-    k_count, t_count = state.fused_mean.shape[:2]
-    prior = PosePrior(
-        cfg.position_prior_std,
-        np.asarray(cfg.attitude_prior_chi, dtype=float),
-        np.asarray(cfg.attitude_prior_kappa, dtype=float),
-    )
+    prior = _estimator_prior(cfg)
     out = []
-    for k in range(k_count):
+    for k in range(state.fused_mean.shape[0]):
         obs = state.fused_mean[k]
-        w = np.array([np.linalg.inv(state.fused_cov[k, t]) for t in range(t_count)])
+        w = state.fused_prec[k]
         inits = [procrustes_pose(obs, q_locals)]
         if state.have_pose:
             inits.append(state.pose_mean[k, 0].copy())
         scores = [pose_objective(x, obs, w, q_locals, prior) for x in inits]
-        init = inits[int(np.argmax(scores))]
         fit = laplace_fit(
             lambda x: pose_objective(x, obs, w, q_locals, prior),
-            init,
+            inits[int(np.argmax(scores))],
             grad=lambda x: pose_gradient(x, obs, w, q_locals, prior),
+            hess=lambda x: pose_hessian(x, obs, w, q_locals, prior),
             opts=cfg.ga,
         )
         attitude = canonicalize_euler(fit.mean[3:])
@@ -615,7 +739,8 @@ def run(
     cfg: EstimatorConfig | None = None,
 ) -> list:
     """Full estimation pass: iterate angle and fusion stages, then output
-    the MAP pose of every MS. Deterministic given (signal, config)."""
+    the MAP pose of every MS with the flags its stages raised.
+    Deterministic given (signal, config)."""
     cfg = (cfg or EstimatorConfig()).resolve(scenario)
     m_count = plan.n_subarrays
     k_count = scenario.num_ms
@@ -630,27 +755,13 @@ def run(
     for iteration in range(cfg.iterations):
         state.iteration = iteration
         state.flags += aoa_module_pass(state, signal, plan, scenario, cfg)
-        for k in range(k_count):
-            for t in range(t_count):
-                belief, ok, flags = fuse_antenna_position(state, k, t, plan, cfg)
-                state.fused_mean[k, t] = belief.mean
-                state.fused_cov[k, t] = belief.cov
-                state.fused_ok[k, t] = ok
-                state.flags += flags
-        for k in range(k_count):
-            state.flags += update_pose_messages(state, k, q_locals, cfg)
+        state.flags += fuse_antenna_position(state, plan, cfg)
+        state.flags += update_pose_messages(state, q_locals, cfg)
         state.have_pose = True
-        for k in range(k_count):
-            for t in range(t_count):
-                eta = project_pose_to_antennas(state, k, t, q_locals[t])
-                state.eta_mean[k, t] = eta.mean
-                state.eta_cov[k, t] = eta.cov
         if iteration < cfg.iterations - 1:
-            for m in range(m_count):
-                for k in range(k_count):
-                    for t in range(t_count):
-                        belief, flags = feedback_messages(state, m, k, t, plan, cfg)
-                        state.prior_mean[m, k, t] = belief.mean
-                        state.prior_cov[m, k, t] = belief.cov
-                        state.flags += flags
-    return final_map(state, q_locals, cfg)
+            state.flags += feedback_messages(state, plan, cfg)
+    estimates = final_map(state, q_locals, cfg)
+    for k, est in enumerate(estimates):
+        stage_flags = tuple(name for kk, name in state.flags if kk == k)
+        est.flags = tuple(dict.fromkeys(stage_flags + est.flags))
+    return estimates

@@ -424,3 +424,57 @@ def aoa_cosines(target: np.ndarray, reference: np.ndarray) -> tuple[float, float
     if r < 1e-300:
         raise ValueError("target and reference coincide; direction undefined")
     return float(diff[0] / r), float(diff[1] / r)
+
+
+def ray_from_cosines(cosines: np.ndarray) -> np.ndarray:
+    """Unit direction into the front half-space (z >= 0) with the given
+    x and y direction cosines; a pair outside the unit disc is first
+    scaled back onto its rim."""
+    sq = float(cosines @ cosines)
+    if sq > 1.0:
+        cosines = cosines / math.sqrt(sq)
+        sq = 1.0
+    return np.array([cosines[0], cosines[1], math.sqrt(max(0.0, 1.0 - sq))])
+
+
+def _unit_offsets(diff: np.ndarray):
+    r = np.linalg.norm(diff, axis=-1)[..., None]
+    return diff / r, r
+
+
+def direction_cosine_derivatives(diff: np.ndarray):
+    """Direction cosines phi_l = d_l / |d| (l = x, y) of offsets ``diff``
+    (..., 3), shape (..., 2), and their Jacobian in d, (..., 2, 3):
+    (e_l - phi_l u) / r with u = d / r."""
+    u, r = _unit_offsets(diff)
+    phi = u[..., :2]
+    return phi, (np.eye(3)[:2] - phi[..., :, None] * u[..., None, :]) / r[..., None]
+
+
+def direction_cosine_hessian(diff: np.ndarray, weights=None) -> np.ndarray:
+    """Hessians in d of the direction cosines of offsets ``diff`` (..., 3):
+    (-(e_l u^T + u e_l^T) + phi_l (3 u u^T - I)) / r^2, stacked per cosine
+    as (..., 2, 3, 3).
+
+    Given ``weights`` (..., M, 2) for offsets (..., M, 3), returns instead
+    the weighted sum over the M offsets and both cosines, (..., 3, 3),
+    contracted without forming the per-offset Hessians.
+    """
+    u, r = _unit_offsets(diff)
+    if weights is None:
+        e_u = np.eye(3)[:2, :, None] * u[..., None, None, :]
+        outer = u[..., None, :, None] * u[..., None, None, :]
+        return (
+            -(e_u + np.swapaxes(e_u, -1, -2))
+            + u[..., :2, None, None] * (3.0 * outer - np.eye(3))
+        ) / r[..., None, None] ** 2
+    c = weights / r**2
+    s = np.sum(c * u[..., :2], axis=-1)
+    c_u = np.einsum("...ml,...my->...ly", c, u)
+    lin = np.zeros(c_u.shape[:-2] + (3, 3))
+    lin[..., :2, :] = c_u
+    return (
+        -(lin + np.swapaxes(lin, -1, -2))
+        + 3.0 * np.einsum("...m,...mx,...my->...xy", s, u, u)
+        - np.sum(s, axis=-1)[..., None, None] * np.eye(3)
+    )

@@ -38,6 +38,8 @@ from .geometry import (
     Pose,
     bs_antenna_grid,
     canonicalize_euler,
+    direction_cosine_derivatives,
+    direction_cosine_hessian,
     rotation_basis_derivatives,
     rotation_basis_second_derivatives,
     rotation_matrix_from_theta,
@@ -251,28 +253,19 @@ def _steering_blocks(antennas, first, second, group: _SubarrayGroup):
     """Steering vectors of a group, (G, K, T, N), and their derivatives.
 
     The steering phase is pi (i phi_x + j phi_y), so da/dgamma = j dphase a
-    with dphase (G, K, T, N, 6) from dphi/d(antenna) = (e_l - phi_l u) / r.
-    With second antenna derivatives, also returns d2phi (G, K, T, 2, 6, 6),
-    the second derivatives of the direction cosines; else None.
+    with dphase (G, K, T, N, 6) from the cosines' Jacobian in the antenna
+    position. With second antenna derivatives, also returns d2phi
+    (G, K, T, 2, 6, 6), the second derivatives of the direction cosines;
+    else None.
     """
     diff = antennas[None] - group.refs[:, None, None, :]
-    r = np.linalg.norm(diff, axis=-1)[..., None, None]
-    u = diff / r[..., 0]
-    phi = u[..., :2]
+    phi, dphi_dant = direction_cosine_derivatives(diff)
     steer = np.exp(1j * np.pi * (phi @ group.ramps))
-    dphi_dant = (np.eye(3)[:2] - phi[..., :, None] * u[..., None, :]) / r
     dphi = dphi_dant @ first
     dphase = np.pi * np.einsum("ln,gktla->gktna", group.ramps, dphi)
     if second is None:
         return steer, dphase, None
-    # Hessian of phi_l = d_l / |d| in d:
-    # (-(e_l u^T + u e_l^T) + phi_l (3 u u^T - I)) / r^2
-    e_u = np.eye(3)[:2, :, None] * u[..., None, None, :]
-    outer = u[..., None, :, None] * u[..., None, None, :]
-    hess = (
-        -(e_u + np.swapaxes(e_u, -1, -2))
-        + phi[..., None, None] * (3.0 * outer - np.eye(3))
-    ) / r[..., None] ** 2
+    hess = direction_cosine_hessian(diff)
     d2phi = np.einsum("gktlxy,ktxa,ktyb->gktlab", hess, first, first) + np.einsum(
         "gktlx,ktxab->gktlab", dphi_dant, second
     )

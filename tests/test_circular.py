@@ -10,11 +10,11 @@ from nearfield_pae.circular import (
     GaOptions,
     GaussianBelief,
     VonMises,
-    covariance_from_hessian,
     finite_diff_gradient,
     gaussian_product,
     gaussian_to_vm,
     laplace_fit,
+    laplace_moments,
     log_i0,
     regularize_hessian,
     vm_extrinsic,
@@ -253,6 +253,21 @@ class TestGaussianBelief:
             )
             assert np.allclose(prod.mean, expected_mean, rtol=1e-8)
 
+    def test_product_uses_stored_precision(self):
+        # a Laplace fit at extreme curvature spread: the capped -1e-9
+        # eigenvalue next to -1e9 leaves a covariance with condition number
+        # 1e18, whose inverse is not the precision it came from
+        c = np.sqrt(0.5)
+        rot = np.array([[c, -c, 0.0], [c, c, 0.0], [0.0, 0.0, 1.0]])
+        hess = -rot @ np.diag([1e9, 0.0, 1.0]) @ rot.T
+        cov, prec, modified = laplace_moments(hess)
+        assert modified
+        a = GaussianBelief(np.array([1.0, 2.0, 3.0]), cov, prec)
+        b = GaussianBelief(np.zeros(3), np.eye(3))
+        prod = gaussian_product(a, b)
+        assert np.array_equal(prod.precision, a.precision + np.eye(3))
+        assert np.allclose(prod.mean, np.linalg.solve(prod.precision, prec @ a.mean))
+
     def test_identical_gaussians_halve_covariance(self):
         g = GaussianBelief(np.array([1.0, 2.0, 3.0]), np.diag([4.0, 5.0, 6.0]))
         prod = gaussian_product(g, g)
@@ -276,7 +291,7 @@ class TestLaplaceFit:
             d = x - mu
             return -0.5 * float(d @ prec @ d)
 
-        fit = laplace_fit(logp, np.zeros(3))
+        fit = laplace_fit(logp, np.zeros(3), grad=lambda x: -prec @ (x - mu), hess=lambda x: -prec)
         assert fit.converged
         assert np.allclose(fit.mean, mu, atol=1e-8)
         assert np.allclose(fit.cov, cov, rtol=1e-5)
@@ -284,7 +299,12 @@ class TestLaplaceFit:
     def test_high_concentration_circular_density(self):
         kappa = 50.0
         d = VonMises(0.3, kappa)
-        fit = laplace_fit(lambda x: float(vm_log_pdf(d, x[0])), np.array([0.0]))
+        fit = laplace_fit(
+            lambda x: float(vm_log_pdf(d, x[0])),
+            np.array([0.0]),
+            grad=lambda x: -kappa * np.sin(x - 0.3),
+            hess=lambda x: -kappa * np.cos(x - 0.3),
+        )
         # numeric moment oracle for the variance around the mean direction
         num, _ = quad(
             lambda t: (t - 0.3) ** 2 * np.exp(vm_log_pdf(d, t)), -np.pi, np.pi
@@ -297,8 +317,13 @@ class TestLaplaceFit:
         def logp(x):
             return -float(np.sum(x**4)) - float(np.sum(x**2))
 
-        fit = laplace_fit(logp, np.zeros(2))
-        assert fit.n_ga_steps == 0
+        fit = laplace_fit(
+            logp,
+            np.zeros(2),
+            grad=lambda x: -4.0 * x**3 - 2.0 * x,
+            hess=lambda x: np.diag(-12.0 * x**2 - 2.0),
+        )
+        assert fit.n_ga_steps == 0 and fit.n_polish_steps == 0
         assert fit.converged
         assert np.allclose(fit.cov, 0.5 * np.eye(2), rtol=1e-4)
 
@@ -306,7 +331,13 @@ class TestLaplaceFit:
         def logp(x):
             return float(x[0] ** 2 - x[1] ** 2)  # saddle at origin
 
-        fit = laplace_fit(logp, np.zeros(2), opts=GaOptions(max_iter=0, newton_polish=False))
+        fit = laplace_fit(
+            logp,
+            np.zeros(2),
+            grad=lambda x: np.array([2.0 * x[0], -2.0 * x[1]]),
+            hess=lambda x: np.diag([2.0, -2.0]),
+            opts=GaOptions(max_polish=0),
+        )
         assert fit.regularized
         vals = np.linalg.eigvalsh(fit.cov)
         assert np.all(vals >= 0)
@@ -318,13 +349,15 @@ class TestLaplaceFit:
         fit = laplace_fit(
             logp,
             np.zeros(1),
-            opts=GaOptions(max_iter=3, newton_polish=False),
+            grad=lambda x: np.ones(1),
+            hess=lambda x: np.zeros((1, 1)),
+            opts=GaOptions(max_polish=3),
         )
         assert not fit.converged
 
     def test_ill_conditioned_with_polish(self):
-        # plain gradient ascent stalls on this conditioning; curvature
-        # polish must still reach the optimum
+        # plain gradient ascent stalls on this conditioning; Newton steps
+        # must still reach the optimum
         scales = np.array([1.0, 1e3])
 
         def logp(x):
@@ -333,7 +366,9 @@ class TestLaplaceFit:
         def grad(x):
             return -x * scales**2
 
-        fit = laplace_fit(logp, np.array([1.0, 1e-3]), grad=grad)
+        fit = laplace_fit(
+            logp, np.array([1.0, 1e-3]), grad=grad, hess=lambda x: -np.diag(scales**2)
+        )
         assert fit.converged
         assert np.allclose(fit.mean, 0.0, atol=1e-8)
 
@@ -358,7 +393,7 @@ class TestLaplaceFit:
 
         init = basis.T @ np.array([1e-3, 1.0])
         assert np.allclose(np.linalg.eigvalsh(hess(init)), [-1e9, 0.0], atol=1e-6)
-        fit = laplace_fit(logp, init, grad=grad, hess=hess, opts=GaOptions(max_iter=0))
+        fit = laplace_fit(logp, init, grad=grad, hess=hess)
         assert fit.converged and fit.n_polish_steps > 0
         assert np.allclose(fit.mean, 0.0, atol=1e-12)
         assert np.allclose(np.linalg.eigvalsh(fit.cov), [1e-9, 5e-3], rtol=1e-6)
@@ -402,7 +437,7 @@ class TestHessianRegularization:
         for _ in range(50):
             h = rng.normal(size=(4, 4))
             h = 0.5 * (h + h.T)
-            cov, _ = covariance_from_hessian(h)
+            cov, _, _ = laplace_moments(h)
             assert np.all(np.linalg.eigvalsh(cov) >= -1e-12)
             assert np.allclose(cov, cov.T)
 
@@ -415,7 +450,7 @@ class TestHessianRegularization:
         h = -rot @ np.diag([1e9, 1e-9]) @ rot.T
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cov, modified = covariance_from_hessian(h)
+            cov, _, modified = laplace_moments(h)
         assert modified
         assert np.all(np.isfinite(cov))
         assert np.all(np.diag(cov) > 0)

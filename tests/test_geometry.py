@@ -10,6 +10,8 @@ from nearfield_pae.geometry import (
     bs_antenna_grid,
     bs_antenna_position,
     canonicalize_euler,
+    direction_cosine_derivatives,
+    direction_cosine_hessian,
     euler_from_rotation,
     fresnel_distance,
     half_wavelength_ura,
@@ -19,6 +21,7 @@ from nearfield_pae.geometry import (
     pattern_five_point,
     pattern_nine_point,
     pattern_three_point,
+    ray_from_cosines,
     rayleigh_distance,
     rotation_basis,
     rotation_basis_derivatives,
@@ -275,6 +278,50 @@ class TestAoaCosines:
     def test_coincident_rejected(self):
         with pytest.raises(ValueError):
             aoa_cosines([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+
+
+class TestRayFromCosines:
+    def test_inverts_aoa_cosines_in_front(self):
+        rng = np.random.default_rng(18)
+        for _ in range(100):
+            target = rng.normal(0, 2, 3)
+            target[2] = abs(target[2]) + 0.1
+            ray = ray_from_cosines(np.array(aoa_cosines(target, np.zeros(3))))
+            assert np.allclose(ray, target / np.linalg.norm(target), atol=1e-12)
+
+    def test_outside_unit_disc_scaled_to_rim(self):
+        ray = ray_from_cosines(np.array([1.2, 1.6]))
+        assert np.allclose(ray, [0.6, 0.8, 0.0])
+
+
+class TestDirectionCosineDerivatives:
+    def test_weighted_hessian_contracts_the_per_cosine_stack(self):
+        rng = np.random.default_rng(19)
+        diff = rng.normal(0, 1, (4, 7, 3))
+        weights = rng.normal(0, 1, (4, 7, 2))
+        per_cosine = direction_cosine_hessian(diff)
+        assert per_cosine.shape == (4, 7, 2, 3, 3)
+        assert np.allclose(
+            direction_cosine_hessian(diff, weights),
+            np.einsum("bml,bmlxy->bxy", weights, per_cosine),
+            rtol=1e-12,
+            atol=1e-12,
+        )
+
+    def test_jacobian_and_hessian_match_differences(self):
+        rng = np.random.default_rng(20)
+        h = 1e-6
+        for _ in range(20):
+            d = rng.normal(0, 1, 3)
+            phi, jac = direction_cosine_derivatives(d)
+            hess = direction_cosine_hessian(d)
+            for x in range(3):
+                step = np.zeros(3)
+                step[x] = h
+                phi_p, jac_p = direction_cosine_derivatives(d + step)
+                phi_m, jac_m = direction_cosine_derivatives(d - step)
+                assert np.allclose((phi_p - phi_m) / (2 * h), jac[:, x], atol=1e-7)
+                assert np.allclose((jac_p - jac_m) / (2 * h), hess[:, :, x], atol=1e-6)
 
 
 class TestPatterns:
