@@ -1,11 +1,13 @@
 """Two-stage far-field benchmark.
 
 Stage one treats the *entire* BS array as if every source were in its far
-field and picks the strongest peaks of the whole-array 2-D periodogram in
-direction-cosine space (sequential peak-and-cancel, each peak refined by
-local ascent). Stage two fits each MS pose to its per-slot cosine tracks
-by nonlinear least squares, with the attitude finalized by an orthogonal
-(SVD) alignment of the reconstructed antenna points.
+field and estimates one direction-cosine pair per source with the
+estimator's own line-spectral routine (`aoa.estimate_aoa_posteriors`),
+run on the whole array with flat priors: each source starts at the
+periodogram peak of the running residual and is refined by joint
+coordinate-ascent sweeps. Stage two fits each MS pose to its per-slot
+cosine tracks by nonlinear least squares, with the attitude finalized by
+an orthogonal (SVD) alignment of the reconstructed antenna points.
 
 On genuinely planar wavefronts this recovers poses accurately. Inside the
 array's near field the common-angle assumption is wrong, but the
@@ -20,12 +22,14 @@ estimator (acceptance criterion 8c).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .aoa import _SteeringWorkspace, match_components
+from .aoa import SourcePrior, SubarraySnapshot, estimate_aoa_posteriors, match_components
 from .channel import ReceivedSignal, ScenarioConfig
+from .circular import VmPair, VonMises
 from .engine import PoseEstimate, procrustes_pose
 from .geometry import (
     UraSpec,
@@ -36,6 +40,11 @@ from .geometry import (
 )
 
 _NAN_COV = np.full((3, 3), np.nan)
+# peak metric (the SNR summed over the array) below which a component is
+# flagged low_power: on pure noise the largest periodogram peak is the
+# maximum of about N unit-mean exponentials, of order ln N
+LOW_POWER_METRIC = 10.0
+_FLAT_PRIOR = SourcePrior(VmPair(VonMises(0.0, 0.0), VonMises(0.0, 0.0)), math.inf)
 
 
 @dataclass
@@ -44,43 +53,8 @@ class FarFieldAoaEstimate:
 
     cosines: np.ndarray  # (phi_x, phi_y)
     coeff: complex
-    residual_power: float
     peak_metric: float
     low_power: bool
-
-
-def _ascend_unprior(ws: _SteeringWorkspace, resid: np.ndarray, phi0: np.ndarray):
-    """Local ascent of |<steer, resid>|^2 with Newton steps."""
-    zeros = np.zeros(2)
-    phi = np.asarray(phi0, dtype=float).copy()
-    for _ in range(60):
-        g, dg, ddg = ws.projections(resid, phi)
-        f = g.real**2 + g.imag**2
-        grad = 2.0 * np.real(np.conj(g) * dg)
-        hess = 2.0 * np.real(np.outer(np.conj(dg), dg) + np.conj(g) * ddg)
-        gnorm = np.linalg.norm(grad)
-        if gnorm < 1e-12 * max(1.0, f):
-            break
-        vals, vecs = np.linalg.eigh(0.5 * (hess + hess.T))
-        if np.all(vals < 0):
-            direction = vecs @ ((vecs.T @ grad) / -vals)
-        else:
-            direction = grad / max(gnorm, 1e-300)
-        slope = float(grad @ direction)
-        if slope <= 0:
-            direction, slope = grad, float(grad @ grad)
-        step, accepted = 1.0, False
-        for _ in range(50):
-            cand = phi + step * direction
-            g2, _, _ = ws.projections(resid, cand)
-            if g2.real**2 + g2.imag**2 >= f + 1e-4 * step * slope:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        phi = cand
-    return phi
 
 
 def farfield_aoa(
@@ -88,60 +62,27 @@ def farfield_aoa(
     bs_spec: UraSpec,
     k_sources: int,
     noise_power: float,
-    pad_target: int = 1024,
-    low_power_metric: float = 10.0,
 ) -> list:
     """Strongest ``k_sources`` plane-wave components of one snapshot.
 
-    The coarse search runs on a zero-padded FFT grid over the cosines
-    (padded to at least ``pad_target`` bins per axis, i.e. well below the
-    0.001-rad class of angular resolution) and each peak is polished by
-    local ascent before being cancelled from the residual.
+    Runs the estimator's line-spectral routine on the whole array with
+    flat priors: von Mises concentration 0 on both cosines and an
+    infinite amplitude prior variance, so the profiled objective is the
+    plain periodogram |g|^2 / (N sigma^2) and the coefficient is g / N.
+    A component whose peak metric N |coeff|^2 / sigma^2 falls below
+    `LOW_POWER_METRIC` is flagged ``low_power``.
     """
     y_mat = np.asarray(y_t).reshape(bs_spec.ny, bs_spec.nx).T
-    ws = _SteeringWorkspace(bs_spec.nx, bs_spec.ny)
-    pad = max(2, int(np.ceil(pad_target / min(bs_spec.nx, bs_spec.ny))))
-    signs = np.outer((-1.0) ** ws.ix, (-1.0) ** ws.jy)
-    resid = y_mat.copy()
-    phis, coeffs, seq_power = [], [], []
-    for _ in range(k_sources):
-        gx, gy = pad * bs_spec.nx, pad * bs_spec.ny
-        x = np.zeros((gx, gy), dtype=np.complex128)
-        x[1 : bs_spec.nx + 1, 1 : bs_spec.ny + 1] = resid * signs
-        spec = np.abs(np.fft.fft2(x)) ** 2
-        i1, i2 = np.unravel_index(int(np.argmax(spec)), spec.shape)
-        phi0 = np.array([-1.0 + 2.0 * i1 / gx, -1.0 + 2.0 * i2 / gy])
-        phi = _ascend_unprior(ws, resid, phi0)
-        g, _, _ = ws.projections(resid, phi)
-        phis.append(phi)
-        coeffs.append(g / ws.n)
-        resid = resid - coeffs[-1] * ws.steering(phi)
-        seq_power.append(float(np.sum(np.abs(resid) ** 2)))
-    # cyclic refinement removes the sidelobe leakage between sources left
-    # by the single extract-and-cancel pass
-    for _ in range(2 if k_sources > 1 else 0):
-        for k in range(k_sources):
-            others = sum(
-                coeffs[j] * ws.steering(phis[j]) for j in range(k_sources) if j != k
-            )
-            resid_k = y_mat - others
-            phis[k] = _ascend_unprior(ws, resid_k, phis[k])
-            g, _, _ = ws.projections(resid_k, phis[k])
-            coeffs[k] = g / ws.n
+    snapshot = SubarraySnapshot(y_mat, noise_power, k_sources)
     out = []
-    for k in range(k_sources):
-        others = sum(
-            coeffs[j] * ws.steering(phis[j]) for j in range(k_sources) if j != k
-        )
-        g, _, _ = ws.projections(y_mat - others if k_sources > 1 else y_mat, phis[k])
-        metric = (abs(g) ** 2) / (ws.n * noise_power)
+    for post in estimate_aoa_posteriors(snapshot, [_FLAT_PRIOR] * k_sources):
+        metric = bs_spec.n_antennas * abs(post.coeff_mean) ** 2 / noise_power
         out.append(
             FarFieldAoaEstimate(
-                cosines=phis[k],
-                coeff=complex(coeffs[k]),
-                residual_power=seq_power[k],
+                cosines=post.cosines,
+                coeff=post.coeff_mean,
                 peak_metric=float(metric),
-                low_power=bool(metric < low_power_metric),
+                low_power=bool(metric < LOW_POWER_METRIC),
             )
         )
     return out
@@ -202,7 +143,9 @@ def run_baseline(
     scenario: ScenarioConfig,
     range_init: float | None = None,
 ) -> list:
-    """Far-field two-stage estimate of every MS pose from a signal matrix."""
+    """Far-field two-stage estimate of every MS pose from a signal matrix.
+    Raises ValueError on a non-finite sample."""
+    signal.check_finite()
     k_count = scenario.num_ms
     t_count = scenario.n_slots
     q_locals = scenario.pattern.local_positions(scenario.ms, scenario.lam)

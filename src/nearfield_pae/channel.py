@@ -196,6 +196,16 @@ class ReceivedSignal:
         if s.ndim != 2:
             raise ValueError(f"samples must be a 2-D matrix, got shape {s.shape}")
         self.samples = s
+        self.check_finite()
+
+    def check_finite(self) -> None:
+        """Raise ValueError if any sample is NaN or infinite. The samples
+        stay writable after construction, so the estimators check again
+        before they use them."""
+        bad = np.argwhere(~np.isfinite(self.samples))
+        if bad.size:
+            row, slot = bad[0]
+            raise ValueError(f"sample at row {row}, slot {slot} is not finite")
 
     @property
     def n_antennas(self) -> int:

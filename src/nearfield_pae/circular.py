@@ -173,11 +173,6 @@ def information_product(mean_a, prec_a, mean_b, prec_b):
     return (cov @ weighted)[..., 0], cov, lam
 
 
-def gaussian_product(a: GaussianBelief, b: GaussianBelief) -> GaussianBelief:
-    """Information-form combination of two Gaussian beliefs."""
-    return GaussianBelief(*information_product(a.mean, a.information, b.mean, b.information))
-
-
 def gaussian_to_vm(belief: GaussianBelief, subarray_ref: np.ndarray) -> VmPair:
     """Project a 3-D position belief onto von Mises beliefs over the two
     scaled direction cosines seen from a subarray reference point.
@@ -270,47 +265,6 @@ class LaplaceFit:
         )
 
 
-def finite_diff_gradient(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient with per-coordinate scaled steps (a
-    test oracle for the analytic gradients)."""
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        h = step * max(1.0, abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (f(xp) - f(xm)) / (2.0 * h)
-    return g
-
-
-def finite_diff_hessian(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Central second differences of a scalar function (a test oracle for
-    the analytic Hessians)."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    h = np.array([step * max(1.0, abs(x[i])) for i in range(n)])
-    hess = np.zeros((n, n))
-    f0 = f(x)
-    for i in range(n):
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h[i]
-        xm[i] -= h[i]
-        hess[i, i] = (f(xp) - 2.0 * f0 + f(xm)) / h[i] ** 2
-        for j in range(i + 1, n):
-            xpp, xpm, xmp, xmm = x.copy(), x.copy(), x.copy(), x.copy()
-            xpp[[i, j]] += h[[i, j]]
-            xmm[[i, j]] -= h[[i, j]]
-            xpm[i] += h[i]
-            xpm[j] -= h[j]
-            xmp[i] -= h[i]
-            xmp[j] += h[j]
-            hess[i, j] = hess[j, i] = (f(xpp) - f(xpm) - f(xmp) + f(xmm)) / (
-                4.0 * h[i] * h[j]
-            )
-    return hess
-
-
 def _capped_eigenpairs(hess: np.ndarray, floor: float):
     """Eigenpairs of the symmetrized matrices (..., n, n) with the
     eigenvalues capped at -floor, and whether any was capped."""
@@ -321,14 +275,6 @@ def _capped_eigenpairs(hess: np.ndarray, floor: float):
 def _from_eigenpairs(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     out = (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
     return 0.5 * (out + np.swapaxes(out, -1, -2))
-
-
-def regularize_hessian(hess: np.ndarray, floor: float = 1e-9):
-    """Force symmetric matrices (..., n, n) to be negative definite by
-    capping their eigenvalues at -floor. Returns (regularized matrix,
-    was_modified)."""
-    vals, vecs, modified = _capped_eigenpairs(hess, floor)
-    return _from_eigenpairs(vals, vecs), modified
 
 
 def laplace_moments(hess: np.ndarray, floor: float = 1e-9):

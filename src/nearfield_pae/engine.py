@@ -204,13 +204,6 @@ def composite_vm_terms(
     return np.sum(curv, axis=(-2, -1)), grad, hess
 
 
-def composite_vm_grad(
-    p: np.ndarray, refs: np.ndarray, chis: np.ndarray, kappas: np.ndarray
-) -> np.ndarray:
-    """Analytic gradient of `composite_vm_value` w.r.t. the position."""
-    return composite_vm_terms(p, refs, chis, kappas)[1]
-
-
 def composite_fits(refs, chis, kappas, inits, opts: GaOptions):
     """Laplace fits of stacked composites in one Newton solve: problem b
     has beliefs ``chis[b]``, ``kappas[b]`` (M, 2) and starts at
@@ -740,7 +733,8 @@ def run(
 ) -> list:
     """Full estimation pass: iterate angle and fusion stages, then output
     the MAP pose of every MS with the flags its stages raised.
-    Deterministic given (signal, config)."""
+    Deterministic given (signal, config). Raises ValueError on a signal
+    of the wrong shape or with a non-finite sample."""
     cfg = (cfg or EstimatorConfig()).resolve(scenario)
     m_count = plan.n_subarrays
     k_count = scenario.num_ms
@@ -750,6 +744,7 @@ def run(
             f"signal shape {signal.samples.shape} does not match scenario "
             f"({scenario.bs.n_antennas}, {t_count})"
         )
+    signal.check_finite()
     q_locals = scenario.pattern.local_positions(scenario.ms, scenario.lam)
     state = init_messages(m_count, k_count, t_count, cfg)
     for iteration in range(cfg.iterations):

@@ -17,9 +17,9 @@ vectors per (subarray, slot). The pseudotrue fit eliminates each block's
 gains in closed form and minimizes the remaining function of the pose with
 its analytic gradient (variable projection, Golub & Pereyra, SIAM J.
 Numer. Anal. 1973). The information matrices use analytic first and second
-derivatives of the steering phases. Both work block by block; the dense
-(N_B T, M K T) embedding serves `reduced_mean` and the analytic Fisher
-oracle only.
+derivatives of the steering phases. Both work block by block; the program
+never builds the dense (N_B T, M K T) embedding (`reduced_embedding`),
+which the tests' dense-mean and Fisher oracles are built on.
 
 Parameter packing: ``gamma = [p_1, .., p_K, theta_1, .., theta_K]`` (6K
 reals), and ``gamma_FF`` appends Re/Im of every per-(subarray, MS, slot)
@@ -174,13 +174,6 @@ def unpack_extended(gamma_ff: np.ndarray, k_count: int):
     gamma = gamma_ff[:n_pose]
     tail = gamma_ff[n_pose:].reshape(-1, 2)
     return gamma, tail[:, 0] + 1j * tail[:, 1]
-
-
-def reduced_mean(
-    gamma_ff: np.ndarray, scenario: ScenarioConfig, plan: PartitionPlan
-) -> np.ndarray:
-    gamma, c = unpack_extended(gamma_ff, scenario.num_ms)
-    return reduced_embedding(gamma, scenario, plan) @ c
 
 
 @dataclass(frozen=True)
@@ -565,61 +558,3 @@ def compute_bound(
     return lower_bound(
         a_mat, b_mat, fit.gamma_ff, truth_ext, scenario.num_ms, flags + fit.flags
     )
-
-
-def reduced_fisher_analytic(
-    gamma_ff: np.ndarray,
-    scenario: ScenarioConfig,
-    plan: PartitionPlan,
-    noise_power_w: float,
-) -> np.ndarray:
-    """Fisher information of the reduced model with fully analytic
-    derivatives (independent of the finite-difference machinery above);
-    used to cross-validate the bound in the zero-misspecification case."""
-    k_count = scenario.num_ms
-    t_count = scenario.n_slots
-    n_b = scenario.bs.n_antennas
-    n_pose = 6 * k_count
-    gamma, c = unpack_extended(gamma_ff, k_count)
-    emb = reduced_embedding(gamma, scenario, plan)
-    n_gain = emb.shape[1]
-    jac = np.zeros((n_b * t_count, n_pose + 2 * n_gain), dtype=np.complex128)
-    jac[:, n_pose : n_pose + 2 * n_gain : 2] = emb
-    jac[:, n_pose + 1 : n_pose + 2 * n_gain : 2] = 1j * emb
-
-    q_locals = scenario.pattern.local_positions(scenario.ms, scenario.lam)
-    poses_raw = unpack_poses(gamma, k_count)
-    for k, (p, theta) in enumerate(poses_raw):
-        basis = rotation_matrix_from_theta(theta)
-        dbasis = rotation_basis_derivatives(theta)
-        for t in range(t_count):
-            ant = p + basis @ q_locals[t]
-            # d(antenna)/d(pose_a): identity for position, dR q for attitude
-            dant = np.zeros((6, 3))
-            dant[:3] = np.eye(3)
-            for axis in range(3):
-                dant[3 + axis] = dbasis[axis] @ q_locals[t]
-            for mi, sub in enumerate(plan.subarrays):
-                diff = ant - sub.ref_position
-                r = float(np.linalg.norm(diff))
-                u = diff / r
-                phi = u[:2]
-                col = gain_index(mi, k, t, k_count, t_count)
-                rows = t * n_b + plan.subarray_row_indices(mi + 1).ravel()
-                steer_flat = emb[rows, col]
-                ii = np.arange(1, sub.nx + 1, dtype=float)
-                jj = np.arange(1, sub.ny + 1, dtype=float)
-                ramp_i = np.repeat(ii, sub.ny)
-                ramp_j = np.tile(jj, sub.nx)
-                for a in range(6):
-                    dphi_x = float((np.array([1.0, 0, 0]) - phi[0] * u) @ dant[a] / r)
-                    dphi_y = float((np.array([0, 1.0, 0]) - phi[1] * u) @ dant[a] / r)
-                    dsteer = (
-                        1j * np.pi * (ramp_i * dphi_x + ramp_j * dphi_y) * steer_flat
-                    )
-                    if a < 3:
-                        pose_col = 3 * k + a
-                    else:
-                        pose_col = 3 * k_count + 3 * k + (a - 3)
-                    jac[rows, pose_col] += c[col] * dsteer
-    return (2.0 / noise_power_w) * np.real(np.conj(jac.T) @ jac)

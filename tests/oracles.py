@@ -1,0 +1,147 @@
+"""Test oracles: reference computations the program itself does not run.
+
+Finite differences check the analytic derivatives, and the dense-embedding
+mean and Fisher matrix check the block-wise bound in `mcrb`.
+"""
+
+import numpy as np
+
+from nearfield_pae.channel import ScenarioConfig
+from nearfield_pae.circular import (
+    GaussianBelief,
+    _capped_eigenpairs,
+    _from_eigenpairs,
+    information_product,
+)
+from nearfield_pae.engine import composite_vm_terms
+from nearfield_pae.geometry import rotation_basis_derivatives, rotation_matrix_from_theta
+from nearfield_pae.mcrb import gain_index, reduced_embedding, unpack_extended, unpack_poses
+from nearfield_pae.partition import PartitionPlan
+
+
+def finite_diff_gradient(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient with per-coordinate scaled steps (a
+    test oracle for the analytic gradients)."""
+    x = np.asarray(x, dtype=float)
+    g = np.zeros_like(x)
+    for i in range(x.size):
+        h = step * max(1.0, abs(x[i]))
+        xp, xm = x.copy(), x.copy()
+        xp[i] += h
+        xm[i] -= h
+        g[i] = (f(xp) - f(xm)) / (2.0 * h)
+    return g
+
+
+def finite_diff_hessian(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
+    """Central second differences of a scalar function (a test oracle for
+    the analytic Hessians)."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    h = np.array([step * max(1.0, abs(x[i])) for i in range(n)])
+    hess = np.zeros((n, n))
+    f0 = f(x)
+    for i in range(n):
+        xp, xm = x.copy(), x.copy()
+        xp[i] += h[i]
+        xm[i] -= h[i]
+        hess[i, i] = (f(xp) - 2.0 * f0 + f(xm)) / h[i] ** 2
+        for j in range(i + 1, n):
+            xpp, xpm, xmp, xmm = x.copy(), x.copy(), x.copy(), x.copy()
+            xpp[[i, j]] += h[[i, j]]
+            xmm[[i, j]] -= h[[i, j]]
+            xpm[i] += h[i]
+            xpm[j] -= h[j]
+            xmp[i] -= h[i]
+            xmp[j] += h[j]
+            hess[i, j] = hess[j, i] = (f(xpp) - f(xpm) - f(xmp) + f(xmm)) / (
+                4.0 * h[i] * h[j]
+            )
+    return hess
+
+
+def regularize_hessian(hess: np.ndarray, floor: float = 1e-9):
+    """Force symmetric matrices (..., n, n) to be negative definite by
+    capping their eigenvalues at -floor. Returns (regularized matrix,
+    was_modified)."""
+    vals, vecs, modified = _capped_eigenpairs(hess, floor)
+    return _from_eigenpairs(vals, vecs), modified
+
+
+def gaussian_product(a: GaussianBelief, b: GaussianBelief) -> GaussianBelief:
+    """Information-form combination of two Gaussian beliefs."""
+    return GaussianBelief(*information_product(a.mean, a.information, b.mean, b.information))
+
+
+def composite_vm_grad(
+    p: np.ndarray, refs: np.ndarray, chis: np.ndarray, kappas: np.ndarray
+) -> np.ndarray:
+    """Analytic gradient of `composite_vm_value` w.r.t. the position."""
+    return composite_vm_terms(p, refs, chis, kappas)[1]
+
+
+def reduced_mean(
+    gamma_ff: np.ndarray, scenario: ScenarioConfig, plan: PartitionPlan
+) -> np.ndarray:
+    gamma, c = unpack_extended(gamma_ff, scenario.num_ms)
+    return reduced_embedding(gamma, scenario, plan) @ c
+
+
+def reduced_fisher_analytic(
+    gamma_ff: np.ndarray,
+    scenario: ScenarioConfig,
+    plan: PartitionPlan,
+    noise_power_w: float,
+) -> np.ndarray:
+    """Fisher information of the reduced model, built from the dense
+    embedding with its pose derivatives written out per antenna and
+    subarray; independent of the block-wise analytic derivatives behind
+    `mcrb.information_matrices`, which it cross-validates in the
+    zero-misspecification case."""
+    k_count = scenario.num_ms
+    t_count = scenario.n_slots
+    n_b = scenario.bs.n_antennas
+    n_pose = 6 * k_count
+    gamma, c = unpack_extended(gamma_ff, k_count)
+    emb = reduced_embedding(gamma, scenario, plan)
+    n_gain = emb.shape[1]
+    jac = np.zeros((n_b * t_count, n_pose + 2 * n_gain), dtype=np.complex128)
+    jac[:, n_pose : n_pose + 2 * n_gain : 2] = emb
+    jac[:, n_pose + 1 : n_pose + 2 * n_gain : 2] = 1j * emb
+
+    q_locals = scenario.pattern.local_positions(scenario.ms, scenario.lam)
+    poses_raw = unpack_poses(gamma, k_count)
+    for k, (p, theta) in enumerate(poses_raw):
+        basis = rotation_matrix_from_theta(theta)
+        dbasis = rotation_basis_derivatives(theta)
+        for t in range(t_count):
+            ant = p + basis @ q_locals[t]
+            # d(antenna)/d(pose_a): identity for position, dR q for attitude
+            dant = np.zeros((6, 3))
+            dant[:3] = np.eye(3)
+            for axis in range(3):
+                dant[3 + axis] = dbasis[axis] @ q_locals[t]
+            for mi, sub in enumerate(plan.subarrays):
+                diff = ant - sub.ref_position
+                r = float(np.linalg.norm(diff))
+                u = diff / r
+                phi = u[:2]
+                col = gain_index(mi, k, t, k_count, t_count)
+                rows = t * n_b + plan.subarray_row_indices(mi + 1).ravel()
+                steer_flat = emb[rows, col]
+                ii = np.arange(1, sub.nx + 1, dtype=float)
+                jj = np.arange(1, sub.ny + 1, dtype=float)
+                ramp_i = np.repeat(ii, sub.ny)
+                ramp_j = np.tile(jj, sub.nx)
+                for a in range(6):
+                    dphi_x = float((np.array([1.0, 0, 0]) - phi[0] * u) @ dant[a] / r)
+                    dphi_y = float((np.array([0, 1.0, 0]) - phi[1] * u) @ dant[a] / r)
+                    dsteer = (
+                        1j * np.pi * (ramp_i * dphi_x + ramp_j * dphi_y) * steer_flat
+                    )
+                    if a < 3:
+                        pose_col = 3 * k + a
+                    else:
+                        pose_col = 3 * k_count + 3 * k + (a - 3)
+                    jac[rows, pose_col] += c[col] * dsteer
+    return (2.0 / noise_power_w) * np.real(np.conj(jac.T) @ jac)

@@ -28,7 +28,6 @@ from nearfield_pae.channel import (
 from nearfield_pae.circular import (
     GaussianBelief,
     VonMises,
-    finite_diff_gradient,
     gaussian_to_vm,
     vm_extrinsic,
     vm_log_pdf,
@@ -37,7 +36,6 @@ from nearfield_pae.circular import (
 from nearfield_pae.engine import (
     EstimatorConfig,
     PosePrior,
-    composite_vm_grad,
     composite_vm_value,
     pose_gradient,
     pose_objective,
@@ -58,9 +56,9 @@ from nearfield_pae.mcrb import (
     information_matrices,
     pack_poses,
     pseudotrue_fit,
-    reduced_fisher_analytic,
 )
 from nearfield_pae.partition import uniform_partition
+from oracles import composite_vm_grad, finite_diff_gradient, reduced_fisher_analytic
 
 pytestmark = pytest.mark.acceptance
 

@@ -1,5 +1,6 @@
 import numpy as np
 from dataclasses import replace
+from hypothesis import example, given, strategies as st
 
 from nearfield_pae.baseline import (
     farfield_aoa,
@@ -45,6 +46,21 @@ class TestFarFieldAoa:
             assert np.allclose(est.cosines, phi, atol=1e-7)
             assert not est.low_power
 
+    # the periodogram grid is 4x padded, bins 1/64 apart on 32 elements:
+    # a start midway between bins must still lie inside the main lobe
+    @given(
+        phi=st.tuples(st.floats(-0.9, 0.9), st.floats(-0.9, 0.9)),
+        phase=st.floats(0.0, 2.0 * np.pi),
+    )
+    @example(phi=(1.0 / 128, 0.5 + 1.0 / 128), phase=0.0)
+    @example(phi=(-0.9, 0.9), phase=3.0)
+    def test_any_single_plane_wave_recovered(self, phi, phase):
+        spec = UraSpec(32, 32, 0.005)
+        y = 5e-4 * np.exp(1j * phase) * whole_array_steering(spec, phi)
+        est = farfield_aoa(y, spec, 1, SIGW2)[0]
+        assert np.allclose(est.cosines, phi, atol=1e-7)
+        assert not est.low_power
+
     def test_two_plane_waves(self):
         spec = UraSpec(32, 32, 0.005)
         phi1, phi2 = np.array([0.3, -0.2]), np.array([-0.4, 0.5])
@@ -84,14 +100,17 @@ class TestFarFieldAoa:
         far_bias = np.linalg.norm(far.cosines - true_phi)
         assert bias > 10 * far_bias  # matched model is orders cleaner
 
-    def test_residual_power_decreases(self):
+    def test_two_waves_ranked_by_peak_metric(self):
         spec = UraSpec(16, 16, 0.005)
         phi1, phi2 = np.array([0.2, 0.1]), np.array([-0.3, -0.5])
         y = 4e-4 * whole_array_steering(spec, phi1) + 2e-4 * whole_array_steering(
             spec, phi2
         )
         ests = farfield_aoa(y, spec, 2, SIGW2)
-        assert ests[1].residual_power < ests[0].residual_power
+        by_x = sorted(ests, key=lambda e: e.cosines[0])  # phi2 first
+        assert np.allclose(by_x[0].cosines, phi2, atol=1e-6)
+        assert np.allclose(by_x[1].cosines, phi1, atol=1e-6)
+        assert by_x[1].peak_metric > by_x[0].peak_metric
 
 
 class TestPoseFromAoas:

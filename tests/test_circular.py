@@ -10,17 +10,15 @@ from nearfield_pae.circular import (
     GaOptions,
     GaussianBelief,
     VonMises,
-    finite_diff_gradient,
-    gaussian_product,
     gaussian_to_vm,
     laplace_fit,
     laplace_moments,
     log_i0,
-    regularize_hessian,
     vm_extrinsic,
     vm_log_pdf,
     vm_multiply,
 )
+from oracles import finite_diff_gradient, gaussian_product, regularize_hessian
 
 
 class TestLogI0:

@@ -12,12 +12,11 @@ from nearfield_pae.channel import (
     draw_poses,
     simulate_received,
 )
-from nearfield_pae.circular import finite_diff_gradient, finite_diff_hessian, laplace_fit
+from nearfield_pae.circular import laplace_fit
 from nearfield_pae.engine import (
     EstimatorConfig,
     PosePrior,
     composite_fits,
-    composite_vm_grad,
     composite_vm_terms,
     composite_vm_value,
     feedback_messages,
@@ -41,6 +40,7 @@ from nearfield_pae.geometry import (
     rotation_matrix_from_theta,
 )
 from nearfield_pae.partition import uniform_partition
+from oracles import composite_vm_grad, finite_diff_gradient, finite_diff_hessian
 
 
 def default_prior():

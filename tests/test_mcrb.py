@@ -15,8 +15,6 @@ from nearfield_pae.mcrb import (
     pack_poses,
     pseudotrue_fit,
     reduced_embedding,
-    reduced_fisher_analytic,
-    reduced_mean,
     true_gain_vector,
     unpack_extended,
     _information_terms,
@@ -24,6 +22,7 @@ from nearfield_pae.mcrb import (
     _subarray_groups,
 )
 from nearfield_pae.partition import uniform_partition
+from oracles import reduced_fisher_analytic, reduced_mean
 
 
 def small_scene(bs_n=4, ms_n=4, mx=2, my=2, num_ms=1, pattern="t3", **kwargs):
