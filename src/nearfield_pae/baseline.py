@@ -6,8 +6,10 @@ estimator's own line-spectral routine (`aoa.estimate_aoa_posteriors`),
 run on the whole array with flat priors: each source starts at the
 periodogram peak of the running residual and is refined by joint
 coordinate-ascent sweeps. Stage two fits each MS pose to its per-slot
-cosine tracks by nonlinear least squares, with the attitude finalized by
-an orthogonal (SVD) alignment of the reconstructed antenna points.
+cosine tracks by least squares, as one stacked analytic-Newton solve
+(`circular.newton_fits`, the estimator's own solver) from 8 fixed starts,
+with the attitude finalized by an orthogonal (SVD) alignment of the
+reconstructed antenna points.
 
 On genuinely planar wavefronts this recovers poses accurately. Inside the
 array's near field the common-angle assumption is wrong, but the
@@ -29,12 +31,15 @@ import numpy as np
 
 from .aoa import SourcePrior, SubarraySnapshot, estimate_aoa_posteriors, match_components
 from .channel import ReceivedSignal, ScenarioConfig
-from .circular import VmPair, VonMises
+from .circular import GaOptions, VmPair, VonMises, newton_fits
 from .engine import PoseEstimate, procrustes_pose
 from .geometry import (
     UraSpec,
     canonicalize_euler,
+    direction_cosine_derivatives,
+    direction_cosine_hessian,
     ray_from_cosines,
+    rigid_antenna_chain,
     rotation_basis,
     rotation_matrix_from_theta,
 )
@@ -88,6 +93,53 @@ def farfield_aoa(
     return out
 
 
+# GaOptions' default grad_tol (1e-8) stops this fit short in range: the
+# objective's range curvature is only about sum_t |q_t|^2 / r^4 (1e-5 at
+# 2 m, 1e-6 at 6 m), so a gradient g left at the stop leaves the range
+# about g / curvature from the optimum (up to 0.14 mm measured on 36
+# fixed desk trials at 1.5-2.5 m and 5-8 m). With 1e-14 the fit reaches
+# the optimum in at most about 20 Newton steps.
+_FIT_OPTIONS = GaOptions(grad_tol=1e-14)
+# roll in {0, pi} x yaw in {0, pi/2, pi, -pi/2}, pitch 0
+_START_ATTITUDES = np.array(
+    [[roll, 0.0, yaw] for roll in (0.0, np.pi) for yaw in (0.0, np.pi / 2, np.pi, -np.pi / 2)]
+)
+
+
+def cosine_fit_terms(x: np.ndarray, aoas: np.ndarray, q_locals: np.ndarray, order: int = 2):
+    """The pose fit's objective -1/2 sum_t |phi(p + R(theta) q_t) - a_t|^2
+    of stacked poses x (B, 6) = (position, roll, pitch, yaw), where phi
+    gives the direction cosines (T, 2) seen from the array centre and
+    ``aoas`` (T, 2) the measured ones of the antennas at local offsets
+    ``q_locals`` (T, 2); with, unless ``order`` is 0, its gradient (B, 6)
+    and Hessian (B, 6, 6), both analytic."""
+    x = np.asarray(x, dtype=float)
+    q = np.broadcast_to(q_locals, (x.shape[0],) + q_locals.shape)
+    offsets, jac, curvature = rigid_antenna_chain(x[:, 3:], q, order)
+    ants = x[:, None, :3] + offsets
+    phi, dphi = direction_cosine_derivatives(ants)
+    w = aoas - phi
+    value = -0.5 * np.sum(w * w, axis=(1, 2))
+    if order == 0:
+        return value
+    # derivatives in each antenna position a_t: gradient v_t = dphi^T w_t,
+    # Hessian sum_l w_tl d2phi_l - dphi^T dphi
+    v = np.einsum("btl,btlx->btx", w, dphi)
+    curv = np.einsum("btl,btlxy->btxy", w, direction_cosine_hessian(ants)) - np.einsum(
+        "btlx,btly->btxy", dphi, dphi
+    )
+    grad = np.einsum("btxa,btx->ba", jac, v)
+    hess = np.einsum("btxa,btxy,btyc->bac", jac, curv, jac)
+    hess[:, 3:, 3:] += curvature(v)
+    return value, grad, hess
+
+
+def _check_range_init(range_init) -> None:
+    """Raise ValueError unless ``range_init`` is a positive finite distance."""
+    if not (math.isfinite(range_init) and range_init > 0.0):
+        raise ValueError(f"range_init must be a positive finite distance, got {range_init!r}")
+
+
 def pose_from_aoas(
     aoas: np.ndarray,
     q_locals: np.ndarray,
@@ -95,13 +147,18 @@ def pose_from_aoas(
 ) -> tuple:
     """Fit (position, attitude) to per-slot whole-array cosines.
 
-    Minimizes the squared cosine residuals over all slots by nonlinear
-    least squares (deterministic multistart over yaw), then rebuilds the
-    antenna points at the fitted ranges and replaces the attitude by the
-    orthogonal-alignment solution. Returns (pose 6-vector, flags).
+    Maximizes `cosine_fit_terms` (the negated squared cosine residuals over
+    all slots) by one stacked analytic-Newton solve (`newton_fits`) from 8
+    fixed starts: the point at ``range_init`` along the mean measured ray,
+    with roll in {0, pi} and yaw in {0, pi/2, pi, -pi/2}. The best
+    converged start wins; when none converged the best one is kept and
+    flagged ``nls_not_converged``. The antenna points are then rebuilt
+    along the measured rays at the fitted ranges, and the attitude is
+    replaced by their orthogonal-alignment solution. Returns (pose
+    6-vector, flags). Raises ValueError unless ``range_init`` is a
+    positive finite distance.
     """
-    from scipy.optimize import least_squares
-
+    _check_range_init(range_init)
     aoas = np.asarray(aoas, dtype=float)
     q_locals = np.asarray(q_locals, dtype=float)
     t_count = aoas.shape[0]
@@ -110,23 +167,20 @@ def pose_from_aoas(
     if np.linalg.matrix_rank(centered, tol=1e-9) < 2:
         flags.append("collinear_pattern")
 
-    def residuals(x):
-        basis = rotation_matrix_from_theta(x[3:])
-        ants = x[:3][None, :] + (basis @ q_locals.T).T
-        r = np.linalg.norm(ants, axis=1)
-        return (ants[:, :2] / r[:, None] - aoas).ravel()
-
     p0 = range_init * ray_from_cosines(aoas.mean(axis=0))
-    best = None
-    for roll0 in (0.0, np.pi):
-        for yaw0 in (0.0, np.pi / 2, np.pi, -np.pi / 2):
-            x0 = np.concatenate([p0, [roll0, 0.0, yaw0]])
-            sol = least_squares(residuals, x0, method="lm", max_nfev=400)
-            if best is None or sol.cost < best.cost:
-                best = sol
-    x = best.x
-    if not best.success:
+    init = np.hstack([np.tile(p0, (len(_START_ATTITUDES), 1)), _START_ATTITUDES])
+    fits = newton_fits(
+        lambda x, _: cosine_fit_terms(x, aoas, q_locals, order=0),
+        lambda x, _: cosine_fit_terms(x, aoas, q_locals),
+        init,
+        _FIT_OPTIONS,
+    )
+    value = cosine_fit_terms(fits.mean, aoas, q_locals, order=0)
+    if np.any(fits.converged):
+        value[~fits.converged] = -np.inf
+    else:
         flags.append("nls_not_converged")
+    x = fits.mean[np.argmax(value)]
     # rebuild antenna points along the measured rays at the fitted ranges,
     # then align the planar layout to them for the final attitude
     basis = rotation_matrix_from_theta(x[3:])
@@ -144,8 +198,13 @@ def run_baseline(
     range_init: float | None = None,
 ) -> list:
     """Far-field two-stage estimate of every MS pose from a signal matrix.
-    Raises ValueError on a non-finite sample."""
+    ``range_init`` (default: the scenario's nominal range) is where the
+    pose fit starts along the mean measured ray. Raises ValueError on a
+    non-finite sample, or unless ``range_init`` is a positive finite
+    distance."""
     signal.check_finite()
+    r_init = range_init if range_init is not None else scenario.nominal_range
+    _check_range_init(r_init)
     k_count = scenario.num_ms
     t_count = scenario.n_slots
     q_locals = scenario.pattern.local_positions(scenario.ms, scenario.lam)
@@ -168,7 +227,6 @@ def run_baseline(
             tracks[k, t] = est.cosines
             if est.low_power:
                 flags_per_k[k].append(f"low_power_t{t}")
-    r_init = range_init if range_init is not None else scenario.nominal_range
     out = []
     for k in range(k_count):
         pose, fit_flags = pose_from_aoas(tracks[k], q_locals, r_init)

@@ -58,9 +58,9 @@ from .geometry import (
     direction_cosine_hessian,
     euler_from_rotation,
     ray_from_cosines,
+    rigid_antenna_chain,
     rotation_basis,
     rotation_basis_derivatives,
-    rotation_basis_second_derivatives,
     rotation_matrix_from_theta,
 )
 from .partition import PartitionPlan
@@ -380,26 +380,16 @@ def pose_terms(
     x = np.asarray(x, dtype=float)
     p, theta = x[:, :3], x[:, 3:]
     q = np.broadcast_to(q_locals, obs_means.shape[:2] + (2,))
-    basis = np.stack([rotation_matrix_from_theta(th) for th in theta])
-    e = obs_means - p[:, None, :] - np.einsum("bxc,btc->btx", basis, q)
+    offsets, jac, curvature = rigid_antenna_chain(theta, q, order)
+    e = obs_means - p[:, None, :] - offsets
     we = np.einsum("btxy,bty->btx", obs_weights, e)
     value, prior_grad, prior_diag = prior.terms(p, theta)
     value = value - 0.5 * np.sum(e * we, axis=(1, 2))
     if order == 0:
         return value
-    # J_t = d(p + R q_t)/dx = [I, D_t], D_t[:, a] = dR/dtheta_a q_t
-    dbasis = np.stack([rotation_basis_derivatives(th) for th in theta])
-    d2basis = np.stack([rotation_basis_second_derivatives(th) for th in theta])
-    jac = np.concatenate(
-        [
-            np.broadcast_to(np.eye(3), e.shape + (3,)),
-            np.einsum("baxc,btc->btxa", dbasis, q),
-        ],
-        axis=-1,
-    )
     grad = np.einsum("btxa,btx->ba", jac, we) + prior_grad
     hess = -np.einsum("btxa,btxy,btyc->bac", jac, obs_weights, jac)
-    hess[:, 3:, 3:] += np.einsum("bacxk,btk,btx->bac", d2basis, q, we)
+    hess[:, 3:, 3:] += curvature(we)
     hess += np.einsum("ba,ac->bac", prior_diag, np.eye(6))
     return value, grad, hess
 

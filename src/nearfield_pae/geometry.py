@@ -298,6 +298,38 @@ def rotation_basis_second_derivatives(theta: np.ndarray) -> np.ndarray:
     return out
 
 
+def rigid_antenna_chain(theta: np.ndarray, q: np.ndarray, order: int = 2) -> tuple:
+    """Offsets R(theta_b) q_bt of antennas at local positions ``q``
+    (B, T, 2) on bodies with attitudes ``theta`` (B, 3), shape (B, T, 3),
+    and the chain rule from a pose x = (p, theta) to its antenna positions
+    a_t = p + R(theta) q_t.
+
+    Returns (offsets, jac, curvature). ``jac`` (B, T, 3, 6) holds
+    J_t = da_t/dx = [I, dR/dtheta q_t]; ``curvature(w)`` contracts
+    weights w (B, T, 3) with the second derivatives of a_t, returning
+    sum_t w_t . d2(R q_t)/dtheta2 (B, 3, 3), the attitude block of the
+    Hessian term sum_t w_t . d2a_t/dx2. Both are None when ``order`` is 0.
+    """
+    basis = np.stack([rotation_matrix_from_theta(th) for th in theta])
+    offsets = np.einsum("bxc,btc->btx", basis, q)
+    if order == 0:
+        return offsets, None, None
+    dbasis = np.stack([rotation_basis_derivatives(th) for th in theta])
+    d2basis = np.stack([rotation_basis_second_derivatives(th) for th in theta])
+    jac = np.concatenate(
+        [
+            np.broadcast_to(np.eye(3), offsets.shape + (3,)),
+            np.einsum("baxc,btc->btxa", dbasis, q),
+        ],
+        axis=-1,
+    )
+
+    def curvature(w):
+        return np.einsum("bacxk,btk,btx->bac", d2basis, q, w)
+
+    return offsets, jac, curvature
+
+
 def rotation_matrix_from_theta(theta) -> np.ndarray:
     """3x2 basis from an unconstrained roll/pitch/yaw triple (optimizer-hot
     path; closed-form entries of the composed rotation's first two columns)."""

@@ -1,8 +1,12 @@
 import numpy as np
+import pytest
 from dataclasses import replace
 from hypothesis import example, given, strategies as st
 
 from nearfield_pae.baseline import (
+    _FIT_OPTIONS,
+    _START_ATTITUDES,
+    cosine_fit_terms,
     farfield_aoa,
     pose_from_aoas,
     run_baseline,
@@ -13,14 +17,19 @@ from nearfield_pae.channel import (
     draw_poses,
     simulate_received,
 )
+from nearfield_pae.circular import GaOptions, newton_fits
 from nearfield_pae.geometry import (
     EulerAngles,
     Pose,
     UraSpec,
     aoa_cosines,
+    canonicalize_euler,
     ms_antenna_global_position,
+    ray_from_cosines,
     rotation_basis,
+    rotation_matrix_from_theta,
 )
+from oracles import finite_diff_gradient, finite_diff_hessian
 
 SIGW2 = 1e-10
 
@@ -113,24 +122,23 @@ class TestFarFieldAoa:
         assert by_x[1].peak_metric > by_x[0].peak_metric
 
 
-class TestPoseFromAoas:
-    def synth_tracks(self, pose, spec, lam, q_locals):
-        out = []
-        for q in q_locals:
-            ant = ms_antenna_global_position(pose, q)
-            out.append(aoa_cosines(ant, np.zeros(3)))
-        return np.array(out)
+def exact_tracks(pose, q_locals):
+    """Whole-array cosines (T, 2) of the antennas at ``q_locals`` on an MS
+    at ``pose``, seen from the array centre."""
+    return np.array(
+        [aoa_cosines(ms_antenna_global_position(pose, q), np.zeros(3)) for q in q_locals]
+    )
 
+
+class TestPoseFromAoas:
     def test_exact_cosines_recover_pose(self):
         sc = desk_scale_scenario()
         q = sc.pattern.local_positions(sc.ms, sc.lam)
         pose = Pose(np.array([1.0, 2.0, 7.0]), EulerAngles(0.5, -0.3, 1.7))
-        tracks = self.synth_tracks(pose, sc.ms, sc.lam, q)
+        tracks = exact_tracks(pose, q)
         fitted, flags = pose_from_aoas(tracks, q, range_init=7.3)
         assert "collinear_pattern" not in flags
         assert np.linalg.norm(fitted[:3] - pose.position) < 1e-3
-        from nearfield_pae.geometry import rotation_matrix_from_theta
-
         assert np.allclose(
             rotation_matrix_from_theta(fitted[3:]),
             rotation_basis(pose.attitude).matrix,
@@ -140,8 +148,36 @@ class TestPoseFromAoas:
     def test_collinear_pattern_flagged(self):
         q = np.array([[-0.04, 0.0], [0.0, 0.0], [0.04, 0.0]])
         tracks = np.tile([0.1, 0.2], (3, 1))
-        _, flags = pose_from_aoas(tracks, q, range_init=5.0)
+        pose, flags = pose_from_aoas(tracks, q, range_init=5.0)
         assert "collinear_pattern" in flags
+        assert np.all(np.isfinite(pose))
+
+    # three slots give six cosines for six unknowns, so exact cosines may
+    # have several exact poses (perspective-3-point, the extra ones a tilt
+    # mirrored about the line of sight); the fit must reach one of them
+    @pytest.mark.parametrize(
+        "attitude",
+        [(0.4, -0.2, 1.1), (0.0, 0.0, 0.0), (2.5, 0.6, -2.0), (-1.0, 0.3, 0.2)],
+    )
+    def test_three_slot_pattern_reaches_exact_cosines(self, attitude):
+        sc = desk_scale_scenario(pattern="t3", distance_range=(1.5, 2.5))
+        q = sc.pattern.local_positions(sc.ms, sc.lam)
+        pose = Pose(np.array([0.3, -0.2, 2.0]), EulerAngles(*attitude))
+        tracks = exact_tracks(pose, q)
+        fitted, flags = pose_from_aoas(tracks, q, range_init=2.2)
+        assert flags == []
+        fitted_pose = Pose(fitted[:3], canonicalize_euler(fitted[3:]))
+        assert np.allclose(exact_tracks(fitted_pose, q), tracks, atol=1e-12)
+        assert np.linalg.norm(fitted[:3] - pose.position) < 0.05
+
+    @pytest.mark.parametrize("bad", [-2.0, 0.0, np.nan, np.inf])
+    def test_invalid_range_init_rejected(self, bad):
+        sc = desk_scale_scenario()
+        q = sc.pattern.local_positions(sc.ms, sc.lam)
+        tracks = np.tile([0.1, 0.2], (len(q), 1))
+        with pytest.raises(ValueError, match="range_init"):
+            pose_from_aoas(tracks, q, range_init=bad)
+
 
     def test_matched_model_attitude_floor(self):
         # genuinely planar wavefronts (synthesized, so the model is matched
@@ -173,6 +209,108 @@ class TestPoseFromAoas:
         assert np.mean(nmses) < 1e-4
 
 
+class TestCosineFit:
+    """The pose fit's objective, its analytic derivatives and the stacked
+    solve over its starts."""
+
+    @pytest.mark.parametrize(
+        "pitch",
+        [0.3, np.pi / 2 - 1e-3, -np.pi / 2 + 1e-3],
+        ids=["moderate", "near_plus_half_pi", "near_minus_half_pi"],
+    )
+    def test_derivatives_match_finite_differences(self, pitch):
+        sc = desk_scale_scenario()
+        # a 0.8 m aperture, so the attitude terms stand clear of rounding
+        q = 10.0 * sc.pattern.local_positions(sc.ms, sc.lam)
+        rng = np.random.default_rng(21)
+        aoas = rng.uniform(-0.5, 0.5, (len(q), 2))
+        for _ in range(3):
+            x = np.concatenate(
+                [
+                    rng.normal(0.0, 0.5, 3) + [0.0, 0.0, 2.0],
+                    [rng.uniform(-3.0, 3.0), pitch, rng.uniform(-3.0, 3.0)],
+                ]
+            )
+
+            def f(y):
+                return cosine_fit_terms(y[None], aoas, q, order=0)[0]
+
+            value, grad, hess = (a[0] for a in cosine_fit_terms(x[None], aoas, q))
+            assert value == pytest.approx(f(x), rel=1e-15)
+            assert np.max(np.abs(grad - finite_diff_gradient(f, x))) < 1e-9
+            assert np.allclose(hess, hess.T, rtol=0.0, atol=1e-15)
+            assert np.max(np.abs(hess - finite_diff_hessian(f, x))) < 2e-5
+
+    def test_stacked_starts_equal_single_solves(self):
+        sc = desk_scale_scenario(distance_range=(1.5, 2.5))
+        q = sc.pattern.local_positions(sc.ms, sc.lam)
+        pose = Pose(np.array([0.5, 0.3, 1.8]), EulerAngles(-2.0, 0.4, 0.7))
+        rng = np.random.default_rng(22)
+        tracks = exact_tracks(pose, q)
+        tracks += rng.normal(0.0, 1e-4, tracks.shape)
+        p0 = 2.0 * ray_from_cosines(tracks.mean(axis=0))
+        init = np.hstack([np.tile(p0, (len(_START_ATTITUDES), 1)), _START_ATTITUDES])
+
+        def solve(starts):
+            return newton_fits(
+                lambda x, _: cosine_fit_terms(x, tracks, q, order=0),
+                lambda x, _: cosine_fit_terms(x, tracks, q),
+                starts,
+                _FIT_OPTIONS,
+            )
+
+        stacked = solve(init)
+        singles = [solve(init[b : b + 1]).problem(0) for b in range(len(init))]
+        for b, single in enumerate(singles):
+            one = stacked.problem(b)
+            assert one.converged and single.converged
+            assert one.n_polish_steps == single.n_polish_steps
+            assert np.allclose(one.mean, single.mean, rtol=1e-12, atol=1e-12)
+        values = [cosine_fit_terms(s.mean[None], tracks, q, order=0)[0] for s in singles]
+        fitted, flags = pose_from_aoas(tracks, q, range_init=2.0)
+        assert flags == []
+        assert np.allclose(fitted[:3], singles[int(np.argmax(values))].mean[:3], atol=1e-12)
+
+    def test_stops_at_the_optimum_in_range(self):
+        """At 6 m the range curvature is only about 1e-6, so a stop on
+        the default gradient tolerance (1e-8) may leave the range short
+        (up to 7e-6 m on these poses); polishing the fitted pose until its
+        steps vanish must not move it."""
+        sc = desk_scale_scenario()
+        q = sc.pattern.local_positions(sc.ms, sc.lam)
+        rng = np.random.default_rng(23)
+        for _ in range(4):
+            pose = Pose(
+                np.array([1.0, -0.5, 6.0]) + rng.normal(0.0, 0.5, 3),
+                EulerAngles(*rng.uniform(-1.0, 1.0, 3)),
+            )
+            tracks = exact_tracks(pose, q) + rng.normal(0.0, 3e-4, (len(q), 2))
+            fitted, flags = pose_from_aoas(tracks, q, range_init=6.0)
+            polished = newton_fits(
+                lambda x, _: cosine_fit_terms(x, tracks, q, order=0),
+                lambda x, _: cosine_fit_terms(x, tracks, q),
+                fitted[None],
+                GaOptions(grad_tol=0.0, max_polish=200),
+            )
+            assert flags == [] and polished.converged[0]
+            assert np.linalg.norm(polished.mean[0, :3] - fitted[:3]) < 1e-8
+
+    def test_reaches_lower_cost_than_early_stop(self):
+        """8d scene (K=1, 20 dBm, r in [1.5, 2.5] m), trial
+        SeedSequence([0, 0, 9]): a Levenberg-Marquardt fit stopped at cost
+        2.16e-7 with attitude NMSE 0.627; the optimum has cost 5.8e-9 and
+        NMSE 9e-6."""
+        sc = desk_scale_scenario(tx_power_dbm=20.0, distance_range=(1.5, 2.5))
+        rng = np.random.default_rng(np.random.SeedSequence([0, 0, 9]))
+        poses = draw_poses(sc, rng)
+        est = run_baseline(simulate_received(sc, rng, poses), sc)[0]
+        r_true = rotation_basis(poses[0].attitude).matrix
+        nmse = np.sum((r_true - est.basis.matrix) ** 2) / 2
+        assert est.converged
+        assert nmse < 1e-3
+        assert np.linalg.norm(est.position - poses[0].position) < 0.01
+
+
 class TestRunBaseline:
     def test_single_ms_end_to_end(self):
         sc = desk_scale_scenario(tx_power_dbm=20.0)
@@ -190,6 +328,16 @@ class TestRunBaseline:
         sig = simulate_received(sc, rng, poses)
         ests = run_baseline(sig, sc)
         assert len(ests) == 2
+
+    @pytest.mark.parametrize("bad", [-2.0, np.nan, np.inf])
+    def test_invalid_range_init_rejected(self, bad):
+        """On the 8d scene, trial SeedSequence([0, 0, 0]), range_init=-2
+        once returned a pose 3 m behind the array."""
+        sc = desk_scale_scenario(tx_power_dbm=20.0, distance_range=(1.5, 2.5))
+        rng = np.random.default_rng(np.random.SeedSequence([0, 0, 0]))
+        sig = simulate_received(sc, rng, draw_poses(sc, rng))
+        with pytest.raises(ValueError, match="range_init"):
+            run_baseline(sig, sc, range_init=bad)
 
     def test_deterministic(self):
         sc = desk_scale_scenario(tx_power_dbm=15.0)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from nearfield_pae.geometry import (
     EulerAngles,
@@ -168,6 +169,24 @@ class TestRotation:
             )
             back = euler_from_rotation(rotation_matrix(angles))
             assert np.allclose(back.as_array(), angles.as_array(), atol=1e-12)
+
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+    def test_rotation_round_trip(self, quat):
+        """Any rotation, drawn as a unit quaternion, survives the trip
+        through Euler angles away from gimbal lock (|pitch| near pi/2)."""
+        w, x, y, z = quat
+        norm = np.sqrt(w * w + x * x + y * y + z * z)
+        assume(norm > 0.1)
+        w, x, y, z = np.array(quat) / norm
+        r3 = np.array(
+            [
+                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+            ]
+        )
+        assume(abs(r3[2, 0]) < 1.0 - 1e-6)
+        assert np.allclose(rotation_matrix(euler_from_rotation(r3)), r3, rtol=0.0, atol=1e-9)
 
     def test_canonicalize_preserves_rotation(self):
         rng = np.random.default_rng(9)

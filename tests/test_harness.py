@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from nearfield_pae.channel import desk_scale_scenario
 from nearfield_pae.engine import PoseEstimate
@@ -15,6 +16,7 @@ from nearfield_pae.harness import (
     run_sweep,
     scenario_from_config,
     sweep_from_config,
+    trial_errors,
     write_csv,
     write_svg,
 )
@@ -88,6 +90,29 @@ class TestMetrics:
         ]
         rmse, nmse = compute_metrics(swapped, truths)
         assert rmse == pytest.approx(0.0, abs=1e-12)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 4),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_trial_errors_ignore_ms_labels(self, seed, count, order):
+        """Permuting the estimate list (relabelling the MSs) leaves both
+        summed errors unchanged."""
+        rng = np.random.default_rng(seed)
+        truths = [
+            Pose(rng.uniform(-3.0, 3.0, 3) + [0.0, 0.0, 6.0], EulerAngles(*rng.uniform(-1.5, 1.5, 3)))
+            for _ in range(count)
+        ]
+        estimates = [
+            make_estimate(t.position + rng.normal(0.0, 0.3, 3), rng.uniform(-1.5, 1.5, 3))
+            for t in truths
+        ]
+        shuffled = list(estimates)
+        order.shuffle(shuffled)
+        assert trial_errors(shuffled, truths) == pytest.approx(
+            trial_errors(estimates, truths), rel=1e-12, abs=0.0
+        )
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
