@@ -41,7 +41,6 @@ from .geometry import (
     ray_from_cosines,
     rigid_antenna_chain,
     rotation_basis,
-    rotation_matrix_from_theta,
 )
 
 _NAN_COV = np.full((3, 3), np.nan)
@@ -183,8 +182,7 @@ def pose_from_aoas(
     x = fits.mean[np.argmax(value)]
     # rebuild antenna points along the measured rays at the fitted ranges,
     # then align the planar layout to them for the final attitude
-    basis = rotation_matrix_from_theta(x[3:])
-    fitted = x[:3][None, :] + (basis @ q_locals.T).T
+    fitted = x[:3] + rigid_antenna_chain(x[None, 3:], q_locals[None], order=0)[0][0]
     ranges = np.linalg.norm(fitted, axis=1)
     points = np.array([ray_from_cosines(aoas[t]) * ranges[t] for t in range(t_count)])
     aligned = procrustes_pose(points, q_locals)

@@ -315,7 +315,6 @@ def rigid_antenna_chain(theta: np.ndarray, q: np.ndarray, order: int = 2) -> tup
     if order == 0:
         return offsets, None, None
     dbasis = np.stack([rotation_basis_derivatives(th) for th in theta])
-    d2basis = np.stack([rotation_basis_second_derivatives(th) for th in theta])
     jac = np.concatenate(
         [
             np.broadcast_to(np.eye(3), offsets.shape + (3,)),
@@ -325,6 +324,7 @@ def rigid_antenna_chain(theta: np.ndarray, q: np.ndarray, order: int = 2) -> tup
     )
 
     def curvature(w):
+        d2basis = np.stack([rotation_basis_second_derivatives(th) for th in theta])
         return np.einsum("bacxk,btk,btx->bac", d2basis, q, w)
 
     return offsets, jac, curvature

@@ -40,9 +40,8 @@ from .geometry import (
     canonicalize_euler,
     direction_cosine_derivatives,
     direction_cosine_hessian,
-    rotation_basis_derivatives,
+    rigid_antenna_chain,
     rotation_basis_second_derivatives,
-    rotation_matrix_from_theta,
 )
 from .partition import PartitionPlan
 
@@ -84,24 +83,13 @@ def poses_from_gamma(gamma: np.ndarray, k: int):
     ]
 
 
-def _antenna_positions(gamma: np.ndarray, scenario: ScenarioConfig) -> np.ndarray:
-    """(K, T, 3) activated-antenna positions implied by a pose vector."""
-    k_count = scenario.num_ms
-    q_locals = scenario.pattern.local_positions(scenario.ms, scenario.lam)
-    out = np.zeros((k_count, len(q_locals), 3))
-    for i, (p, theta) in enumerate(unpack_poses(gamma, k_count)):
-        basis = rotation_matrix_from_theta(theta)
-        out[i] = p[None, :] + (basis @ q_locals.T).T
-    return out
-
-
 def exact_mean(gamma: np.ndarray, scenario: ScenarioConfig) -> np.ndarray:
     """Noiseless exact-model signal, stacked slot by slot into one vector."""
     grid = bs_antenna_grid(scenario.bs, scenario.lam)
     n_b = scenario.bs.n_antennas
     t_count = scenario.n_slots
     amp = math.sqrt(scenario.tx_power_w)
-    antennas = _antenna_positions(gamma, scenario)
+    antennas = _antenna_derivatives(gamma, scenario, order=0)[0]
     mu = np.zeros(n_b * t_count, dtype=np.complex128)
     for t in range(t_count):
         col = np.zeros(n_b, dtype=np.complex128)
@@ -123,7 +111,7 @@ def reduced_embedding(
     m_count = plan.n_subarrays
     k_count = scenario.num_ms
     t_count = scenario.n_slots
-    antennas = _antenna_positions(gamma, scenario)
+    antennas = _antenna_derivatives(gamma, scenario, order=0)[0]
     cols = np.zeros((n_b * t_count, m_count * k_count * t_count), dtype=np.complex128)
     for mi, sub in enumerate(plan.subarrays):
         rows = plan.subarray_row_indices(mi + 1).ravel()
@@ -223,23 +211,22 @@ def _pose_columns(k: int, k_count: int) -> np.ndarray:
 
 
 def _antenna_derivatives(gamma: np.ndarray, scenario: ScenarioConfig, order: int):
-    """Activated-antenna positions (K, T, 3) with their derivatives in the
-    MS's own [position, attitude]: first (K, T, 3, 6) and, at ``order`` 2,
-    second (K, T, 3, 6, 6); otherwise None."""
+    """Activated-antenna positions (K, T, 3) with, unless ``order`` is 0,
+    their derivatives in the MS's own [position, attitude]: first
+    (K, T, 3, 6) from `rigid_antenna_chain` and, at ``order`` 2, second
+    (K, T, 3, 6, 6); otherwise None."""
     k_count = scenario.num_ms
     q_locals = scenario.pattern.local_positions(scenario.ms, scenario.lam)
-    first = np.zeros((k_count, len(q_locals), 3, 6))
-    first[..., :3] = np.eye(3)
-    second = np.zeros(first.shape + (6,)) if order == 2 else None
-    for k, (_, theta) in enumerate(unpack_poses(gamma, k_count)):
-        first[k, :, :, 3:] = np.einsum(
-            "lxc,tc->txl", rotation_basis_derivatives(theta), q_locals
-        )
-        if second is not None:
-            second[k, :, :, 3:, 3:] = np.einsum(
-                "abxc,tc->txab", rotation_basis_second_derivatives(theta), q_locals
-            )
-    return _antenna_positions(gamma, scenario), first, second
+    theta = gamma[3 * k_count :].reshape(k_count, 3)
+    q = np.broadcast_to(q_locals, (k_count,) + q_locals.shape)
+    offsets, first, _ = rigid_antenna_chain(theta, q, min(order, 1))
+    antennas = gamma[: 3 * k_count].reshape(k_count, 1, 3) + offsets
+    if order < 2:
+        return antennas, first, None
+    d2basis = np.stack([rotation_basis_second_derivatives(th) for th in theta])
+    second = np.zeros(first.shape + (6,))
+    second[..., 3:, 3:] = np.einsum("kabxc,ktc->ktxab", d2basis, q)
+    return antennas, first, second
 
 
 def _steering_blocks(antennas, first, second, group: _SubarrayGroup):

@@ -2,16 +2,19 @@
 
     python3 tools/bench_pairs.py --base ../parent --head . --pairs 10 --pr N
 
-Runs the command of the head checkout's BENCHMARK.json, with its
-``run_seconds``, once per workload and side in each of ``--pairs`` pairs.
+Both checkouts are git clones. Runs the command of the head checkout's
+BENCHMARK.json, with its ``run_seconds``, once per workload (all of
+them) and side in each of ``--pairs`` pairs.
 Each run executes in its own checkout, so it times that checkout's
 ``src/``. Pair i runs both sides back to back with ``--seed i``; the base
 runs first in even pairs and the head first in odd ones, so neither side
 always meets the machine warm. For every workload and end-to-end metric
 the output gives each side's median and quartiles
-(``statistics.quantiles(values, n=4)``), the pairs in which the head is
-better, and each side's failed/attempted operations, plus the
-environment. It reports; it gates nothing.
+(``statistics.quantiles(values, n=4)``), the base's spread
+(q3 - q1) / median, the pairs in which the head is better, and each
+side's failed/attempted operations, plus the environment and each
+side's commit (``+dirty`` if its tree differs from it). It reports; it
+gates nothing.
 """
 
 import argparse
@@ -33,20 +36,20 @@ def parse_args(argv):
     parser.add_argument("--head", required=True, type=Path, help="checkout with the change")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--pr", required=True, help="names the output BENCH_<PR>.json")
-    parser.add_argument("--workloads", nargs="*", help="default: every workload")
-    parser.add_argument("--base-label", help="default: the base checkout's git commit")
-    parser.add_argument("--head-label", help="default: the head checkout's git commit")
     parser.add_argument("--out", type=Path, help="default: BENCH_<PR>.json in the head checkout")
     return parser.parse_args(argv)
 
 
-def label(checkout: Path, given) -> str:
-    if given:
-        return given
-    done = subprocess.run(
-        ["git", "rev-parse", "--short", "HEAD"], cwd=checkout, capture_output=True, text=True
-    )
-    return done.stdout.strip() if done.returncode == 0 else checkout.resolve().name
+def revision(checkout: Path) -> str:
+    """The checkout's short commit, with ``+dirty`` when its tree differs
+    from that commit."""
+
+    def git(*args):
+        return subprocess.run(
+            ["git", *args], cwd=checkout, capture_output=True, text=True, check=True
+        ).stdout.strip()
+
+    return git("rev-parse", "--short", "HEAD") + ("+dirty" if git("status", "--porcelain") else "")
 
 
 def run_once(spec: dict, checkout: Path, workload: str, seed: int) -> dict:
@@ -85,6 +88,11 @@ def summarize(spec: dict, runs: dict) -> dict:
             entry.update({side: quartiles(values[side]) for side in SIDES})
             entry["head_wins"] = f"{wins}/{len(values['head'])}"
             entry["median_ratio"] = entry["head"]["median"] / entry["base"]["median"]
+            # the base's own (q3 - q1) / median: a change smaller than this
+            # is not resolved by these pairs, whatever the median ratio
+            entry["base_spread"] = (
+                entry["base"]["q3"] - entry["base"]["q1"]
+            ) / entry["base"]["median"]
             metrics[name] = entry
         operations = {}
         for side in SIDES:
@@ -126,7 +134,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     checkouts = {"base": args.base, "head": args.head}
     spec = json.loads((args.head / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    workloads = [w["name"] for w in spec["workloads"]]
     runs = {w: {side: [] for side in SIDES} for w in workloads}
     started = time.time()
     for pair in range(args.pairs):
@@ -138,8 +146,8 @@ def main(argv=None) -> int:
                 print(f"pair {pair} {workload} {side}: " + json.dumps(result), flush=True)
     report = {
         "pr": args.pr,
-        "base": label(args.base, args.base_label),
-        "head": label(args.head, args.head_label),
+        "base": revision(args.base),
+        "head": revision(args.head),
         "command": spec["command"],
         "run_seconds": spec["run_seconds"],
         "pairs": args.pairs,
