@@ -1,9 +1,9 @@
-"""Per-subarray multi-source 2-D direction-cosine estimation with von
-Mises priors.
+"""Multi-source 2-D direction-cosine estimation with von Mises priors,
+solved for a whole stack of same-shaped snapshots at once.
 
-Each subarray snapshot follows a line-spectral model: a sum of K planar
-phase ramps (one per source) in the two direction cosines, with unknown
-complex amplitudes. Estimation is variational coordinate ascent with the
+Each snapshot follows a line-spectral model: a sum of K planar phase
+ramps (one per source) in the two direction cosines, with unknown complex
+amplitudes. Estimation is variational coordinate ascent with the
 amplitude marginalized under its Gaussian prior: for fixed other sources,
 the profiled objective in one source's cosines is::
 
@@ -12,7 +12,14 @@ the profiled objective in one source's cosines is::
 with ``v`` the amplitude's posterior variance. Amplitude updates and
 ascent steps on F both increase the joint MAP objective, so sweeps are
 monotone. Posterior concentrations come from the negated curvature of F
-at its maximizers.
+at its maximizers. A flat prior (concentration 0, infinite amplitude
+variance) reduces F to the plain periodogram, which is how the far-field
+baseline uses the same routine (VALSE treats both cases in one routine:
+Badiu, Hansen & Fleury, IEEE TSP 2017).
+
+`estimate_aoa_posteriors` solves a stack of snapshots at once: sliced
+periodogram starts, one `circular.newton_fits` solve per source position
+for the 2-D ascents, and sweeps under a per-snapshot convergence mask.
 """
 
 from __future__ import annotations
@@ -22,12 +29,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circular import VmPair, VonMises, vm_extrinsic
+from .channel import subarray_steering
+from .circular import GaOptions, VmPair, VonMises, newton_fits, vm_extrinsic
+
+# periodogram grid points per slice of the stack (one snapshot at least):
+# one fft2 over the 80 padded grids of a pass adds about 4 MB of peak
+# memory; 2**12 points take 64 kB, 1.6 ms per start on 80 8x8 snapshots
+_GRID_SLICE_POINTS = 2**12
 
 
 @dataclass
 class SubarraySnapshot:
-    """One subarray's received block in one slot plus its noise level."""
+    """One subarray's received block in one slot plus its noise level.
+    Raises ValueError on non-finite samples or a noise power that is not
+    finite and positive."""
 
     samples: np.ndarray  # (nx, ny) complex
     noise_power: float
@@ -37,8 +52,10 @@ class SubarraySnapshot:
         s = np.asarray(self.samples, dtype=np.complex128)
         if s.ndim != 2:
             raise ValueError(f"snapshot must be 2-D, got shape {s.shape}")
-        if self.noise_power <= 0:
-            raise ValueError("noise power must be positive")
+        if not np.all(np.isfinite(s)):
+            raise ValueError("snapshot samples must be finite")
+        if not (math.isfinite(self.noise_power) and self.noise_power > 0):
+            raise ValueError(f"noise power must be finite and positive, got {self.noise_power}")
         if self.source_count < 1:
             raise ValueError("need at least one source")
         self.samples = s
@@ -47,14 +64,15 @@ class SubarraySnapshot:
 @dataclass(frozen=True)
 class SourcePrior:
     """Direction-cosine prior for one source plus its amplitude prior
-    variance."""
+    variance; an infinite variance is a flat amplitude prior. Raises
+    ValueError on a variance that is not positive (NaN included)."""
 
     pair: VmPair
     coeff_prior_var: float
 
     def __post_init__(self):
-        if self.coeff_prior_var <= 0:
-            raise ValueError("amplitude prior variance must be positive")
+        if not self.coeff_prior_var > 0:
+            raise ValueError(f"amplitude prior variance must be > 0, got {self.coeff_prior_var}")
 
 
 @dataclass
@@ -75,233 +93,225 @@ class AoaPosterior:
 
 @dataclass(frozen=True)
 class AoaOptions:
+    """Sweep limits, the periodogram padding and the ascent's
+    `circular.GaOptions` (|grad F| < ``grad_tol`` |F|, ``max_ascent``
+    steps, ``max_backtracks``). ``grad_tol`` sits at the attainable
+    gradient, about sqrt(eps |F| |H|) ~ 1e-7 |F| on 8x8 snapshots; below
+    it the line search backtracks in vain (at 1e-8 that was a third of
+    the stage's time on apple-k2)."""
+
     max_sweeps: int = 20
     move_tol: float = 1e-6
     pad_factor: int = 4
-    grad_tol: float = 1e-8
-    step_tol: float = 3e-8
+    grad_tol: float = 1e-7
     max_ascent: int = 40
     max_backtracks: int = 50
 
 
-def _wrap_cosine(phi: float) -> float:
-    """Wrap a direction cosine to [-1, 1) (the angle pi*phi has period 2)."""
-    return float(np.mod(phi + 1.0, 2.0) - 1.0)
+def _projections(resid: np.ndarray, phi: np.ndarray, order: int = 2):
+    """g = <steer(phi), resid> = sum conj(steer) * resid of stacked
+    residuals (B, nx, ny) at cosines phi (B, 2); with ``order`` 2 also its
+    gradient (B, 2) and Hessian (B, 2, 2) in phi."""
+    count, nx, ny = resid.shape
+    # conj(steer) factors exp(-j pi phi i) as running products of one
+    # phasor per axis: about twice as fast as an exp per element
+    step = np.exp(-1j * np.pi * phi)
+    cx = np.cumprod(np.broadcast_to(step[:, :1], (count, nx)), axis=1)
+    cy = np.cumprod(np.broadcast_to(step[:, 1:], (count, ny)), axis=1)
+    if order == 0:
+        return (cx[:, None, :] @ resid @ cy[:, :, None])[:, 0, 0]
+    # moments[b, p, q] = d^(p+q) g / dphi_x^p dphi_y^q, each derivative
+    # bringing down a factor -j pi i
+    powers = np.arange(3)[:, None]
+    xs = cx[:, None, :] * (-1j * np.pi * np.arange(1, nx + 1)) ** powers
+    ys = cy[:, None, :] * (-1j * np.pi * np.arange(1, ny + 1)) ** powers
+    moments = xs @ resid @ np.swapaxes(ys, 1, 2)
+    dg = moments[:, (1, 0), (0, 1)]
+    ddg = moments[:, ((2, 1), (1, 0)), ((0, 1), (1, 2))]
+    return moments[:, 0, 0], dg, ddg
 
 
-class _SteeringWorkspace:
-    """Cached index ramps for one snapshot size."""
-
-    def __init__(self, nx: int, ny: int):
-        self.nx, self.ny = nx, ny
-        self.ix = np.arange(1, nx + 1, dtype=float)
-        self.jy = np.arange(1, ny + 1, dtype=float)
-        self.n = nx * ny
-
-    def steering(self, phi) -> np.ndarray:
-        ax = np.exp(1j * np.pi * phi[0] * self.ix)
-        ay = np.exp(1j * np.pi * phi[1] * self.jy)
-        return ax[:, None] * ay[None, :]
-
-    def projections(self, resid: np.ndarray, phi):
-        """g, dg/dphi (2,), and the 2x2 Hessian of g at phi, where
-        g = <steer(phi), resid> = sum conj(steer) * resid."""
-        cx = np.exp(-1j * np.pi * phi[0] * self.ix)
-        cy = np.exp(-1j * np.pi * phi[1] * self.jy)
-        rx = resid @ cy  # (nx,)
-        g = cx @ rx
-        dx = -1j * np.pi * self.ix * cx
-        ddx = (-1j * np.pi * self.ix) ** 2 * cx
-        gy = cx @ resid  # (ny,)
-        dy = -1j * np.pi * self.jy * cy
-        ddy = (-1j * np.pi * self.jy) ** 2 * cy
-        g_x = dx @ rx
-        g_y = gy @ dy
-        g_xx = ddx @ rx
-        g_yy = gy @ ddy
-        g_xy = (dx @ resid) @ dy
-        return g, np.array([g_x, g_y]), np.array([[g_xx, g_xy], [g_xy, g_yy]])
+def _profiled_terms(resid, phi, chi, kappa, weight, order: int = 2):
+    """The profiled objective F of stacked problems (B,) -- residuals
+    (B, nx, ny), cosines phi (B, 2), prior means chi and concentrations
+    kappa (B, 2) and data weights v / sigma_w^4 (B,) -- with, at ``order``
+    2, its gradient (B, 2) and Hessian (B, 2, 2) in phi."""
+    ang = np.pi * phi - chi
+    prior = np.sum(kappa * np.cos(ang), axis=-1)
+    if order == 0:
+        g = _projections(resid, phi, order=0)
+        return weight * (g.real**2 + g.imag**2) + prior
+    g, dg, ddg = _projections(resid, phi)
+    f = weight * (g.real**2 + g.imag**2) + prior
+    w2 = 2.0 * weight[:, None]
+    grad = w2 * np.real(np.conj(g)[:, None] * dg) - np.pi * kappa * np.sin(ang)
+    hess = w2[..., None] * np.real(
+        np.conj(dg)[:, :, None] * dg[:, None, :] + np.conj(g)[:, None, None] * ddg
+    )
+    hess[:, (0, 1), (0, 1)] -= np.pi**2 * kappa * np.cos(ang)
+    return f, grad, hess
 
 
-def _objective(ws, resid, phi, chi, kappa, weight):
-    g, dg, ddg = ws.projections(resid, phi)
-    ang = np.pi * np.asarray(phi) - chi
-    f = weight * (g.real**2 + g.imag**2) + float(np.sum(kappa * np.cos(ang)))
-    grad = 2.0 * weight * np.real(np.conj(g) * dg) - np.pi * kappa * np.sin(ang)
-    hess = 2.0 * weight * np.real(np.outer(np.conj(dg), dg) + np.conj(g) * ddg)
-    hess = hess - np.diag(np.pi**2 * kappa * np.cos(ang))
-    return f, grad, 0.5 * (hess + hess.T)
-
-
-def _ascend(ws, resid, phi0, chi, kappa, weight, opts: AoaOptions):
-    """Maximize F from phi0 with curvature-aware backtracking ascent."""
-    phi = np.asarray(phi0, dtype=float).copy()
-    f, grad, hess = _objective(ws, resid, phi, chi, kappa, weight)
-    for _ in range(opts.max_ascent):
-        gnorm = np.linalg.norm(grad)
-        if gnorm < opts.grad_tol * max(1.0, abs(f)):
-            break
-        # Newton direction when the curvature is usable, gradient otherwise
-        vals, vecs = np.linalg.eigh(hess)
-        if np.all(vals < 0):
-            direction = vecs @ ((vecs.T @ grad) / -vals)
-        else:
-            direction = grad / max(gnorm, 1e-300)
-        slope = float(grad @ direction)
-        if slope <= 0:
-            direction, slope = grad, float(grad @ grad)
-        step, accepted = 1.0, False
-        for _ in range(opts.max_backtracks):
-            cand = phi + step * direction
-            f_new, g_new, h_new = _objective(ws, resid, cand, chi, kappa, weight)
-            if np.isfinite(f_new) and f_new >= f + 1e-4 * step * slope:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        moved = float(np.linalg.norm(step * direction))
-        phi, f, grad, hess = cand, f_new, g_new, h_new
-        if moved < opts.step_tol:
-            break
-    return phi, f, grad, hess
-
-
-def _periodogram_init(ws, resid, chi, kappa, weight, pad_factor):
-    """Prior-weighted zero-padded periodogram peak over the cosine grid."""
-    gx = pad_factor * ws.nx
-    gy = pad_factor * ws.ny
-    x = np.zeros((gx, gy), dtype=np.complex128)
-    signs = np.outer((-1.0) ** ws.ix, (-1.0) ** ws.jy)
-    x[1 : ws.nx + 1, 1 : ws.ny + 1] = resid * signs
-    g_grid = np.fft.fft2(x)
+def _periodogram_starts(resid, chi, kappa, weight, pad_factor: int) -> np.ndarray:
+    """Prior-weighted zero-padded periodogram peaks (B, 2) of stacked
+    residuals (B, nx, ny) over the (pad_factor nx, pad_factor ny) cosine
+    grid, built as DFT-matrix products slice by slice (_GRID_SLICE_POINTS)."""
+    b_count, nx, ny = resid.shape
+    gx, gy = pad_factor * nx, pad_factor * ny
     phi_x = -1.0 + 2.0 * np.arange(gx) / gx
     phi_y = -1.0 + 2.0 * np.arange(gy) / gy
-    p = weight * np.abs(g_grid) ** 2
-    p += (kappa[0] * np.cos(np.pi * phi_x - chi[0]))[:, None]
-    p += (kappa[1] * np.cos(np.pi * phi_y - chi[1]))[None, :]
-    i1, i2 = np.unravel_index(int(np.argmax(p)), p.shape)
-    return np.array([phi_x[i1], phi_y[i2]])
+    dft_x = np.exp(-1j * np.pi * np.outer(phi_x, np.arange(1, nx + 1)))
+    dft_y = np.exp(-1j * np.pi * np.outer(np.arange(1, ny + 1), phi_y))
+    prior_x = kappa[:, :1] * np.cos(np.pi * phi_x - chi[:, :1])
+    prior_y = kappa[:, 1:] * np.cos(np.pi * phi_y - chi[:, 1:])
+    per_slice = max(1, _GRID_SLICE_POINTS // (gx * gy))
+    peaks = np.empty(b_count, dtype=int)
+    for lo in range(0, b_count, per_slice):
+        sl = slice(lo, lo + per_slice)
+        grid = dft_x @ resid[sl] @ dft_y
+        p = np.square(grid.real)
+        p += np.square(grid.imag)
+        p *= weight[sl, None, None]
+        p += prior_x[sl, :, None]
+        p += prior_y[sl, None, :]
+        peaks[sl] = np.argmax(p.reshape(p.shape[0], -1), axis=1)
+    ix, iy = np.divmod(peaks, gy)
+    return np.stack([phi_x[ix], phi_y[iy]], axis=-1)
 
 
 def estimate_aoa_posteriors(
-    snapshot: SubarraySnapshot,
+    snapshots,
     priors,
     opts: AoaOptions = AoaOptions(),
     diagnostics: bool = False,
 ):
-    """Joint posterior estimation for all sources in one snapshot.
+    """Joint posteriors of the K sources of every snapshot in a stack.
 
-    Sources are initialized sequentially (most concentrated prior first)
-    at the peak of the prior-weighted periodogram of the running residual,
-    then refined by coordinate-ascent sweeps until no cosine moves more
-    than ``move_tol``. Returns posteriors in prior order; when
-    ``diagnostics`` is set, also returns the joint-objective trace (one
-    value per sweep, non-decreasing).
+    ``snapshots``: B `SubarraySnapshot`s of one shape and source count K;
+    ``priors``: one list of K `SourcePrior`s per snapshot. Each snapshot
+    processes its sources in the order of their priors' values (most
+    concentrated first, ties by mean), so permuting its prior list permutes
+    its outputs alike. Sources start one after another at the peak of the
+    prior-weighted periodogram of the running residual (sliced over the
+    stack, `_GRID_SLICE_POINTS`); coordinate-ascent sweeps then refine
+    them, sweep position j of every unconverged snapshot in one stacked
+    Newton solve. A snapshot leaves the stack after the first sweep that
+    moved none of its cosines by more than ``move_tol``, so it runs the
+    sweeps it would run alone.
+
+    Returns one posterior list per snapshot, in prior order, and with
+    ``diagnostics`` one non-decreasing joint-objective trace per snapshot
+    (a value per sweep). Raises ValueError on a mixed stack.
     """
-    priors = list(priors)
-    k_count = snapshot.source_count
-    if len(priors) != k_count:
-        raise ValueError(f"expected {k_count} priors, got {len(priors)}")
-    y = snapshot.samples
-    ws = _SteeringWorkspace(*y.shape)
-    sigw2 = snapshot.noise_power
-
-    chi_arr = np.array([p.pair.as_arrays()[0] for p in priors])  # (K, 2)
-    kap_arr = np.array([p.pair.as_arrays()[1] for p in priors])  # (K, 2)
-    post_var = np.array(
-        [1.0 / (ws.n / sigw2 + 1.0 / p.coeff_prior_var) for p in priors]
-    )
+    snapshots = list(snapshots)
+    priors = [list(p) for p in priors]
+    if not snapshots:
+        raise ValueError("need at least one snapshot")
+    if len(priors) != len(snapshots):
+        raise ValueError(f"expected {len(snapshots)} prior lists, got {len(priors)}")
+    shape = snapshots[0].samples.shape
+    k_count = snapshots[0].source_count
+    if any(s.samples.shape != shape or s.source_count != k_count for s in snapshots):
+        raise ValueError("snapshots must share one shape and one source count")
+    if any(len(pri) != k_count for pri in priors):
+        raise ValueError(f"expected {k_count} priors per snapshot")
+    y = np.stack([s.samples for s in snapshots])  # (B, nx, ny)
+    sigw2 = np.array([float(s.noise_power) for s in snapshots])[:, None]  # (B, 1)
+    chi = np.array([[p.pair.as_arrays()[0] for p in pri] for pri in priors])  # (B, K, 2)
+    kappa = np.array([[p.pair.as_arrays()[1] for p in pri] for pri in priors])
+    prior_var = np.array([[p.coeff_prior_var for p in pri] for pri in priors])  # (B, K)
+    post_var = 1.0 / (y[0].size / sigw2 + 1.0 / prior_var)
     weights = post_var / sigw2**2
-
-    # processing order depends only on prior values (not list positions),
-    # so permuting the prior list permutes the outputs identically
-    order = sorted(
-        range(k_count),
-        key=lambda k: (
-            -float(np.sum(kap_arr[k])),
-            float(chi_arr[k, 0]),
-            float(chi_arr[k, 1]),
-        ),
+    every = np.arange(len(snapshots))
+    # (B, K): the source at each sweep position
+    order = np.array(
+        [sorted(range(k_count), key=lambda k: (-np.sum(kappa[b, k]), *chi[b, k])) for b in every]
     )
-    phis = np.zeros((k_count, 2))
-    coeffs = np.zeros(k_count, dtype=np.complex128)
+    ga = GaOptions(
+        grad_tol=opts.grad_tol, max_polish=opts.max_ascent, max_backtracks=opts.max_backtracks
+    )
+    phis = np.zeros((len(snapshots), k_count, 2))
+    coeffs = np.zeros((len(snapshots), k_count), dtype=np.complex128)
 
-    def _coeff_update(k, resid):
-        g, _, _ = ws.projections(resid, phis[k])
-        return post_var[k] / sigw2 * g
+    def ascend(resid, rows, ks, start):
+        args = (chi[rows, ks], kappa[rows, ks], weights[rows, ks])
+
+        def value(x, idx):
+            return _profiled_terms(resid[idx], x, *(a[idx] for a in args), order=0)
+
+        def derivatives(x, idx):
+            return _profiled_terms(resid[idx], x, *(a[idx] for a in args))
+
+        return newton_fits(value, derivatives, start, ga).mean
+
+    def coeff_update(resid, rows, ks):
+        g = _projections(resid, phis[rows, ks], order=0)
+        return post_var[rows, ks] / sigw2[rows, 0] * g
+
+    def model(rows):  # (b, K, nx, ny): every source of the snapshots rows
+        steer = subarray_steering(*shape, phis[rows, :, 0], phis[rows, :, 1])
+        return coeffs[rows, :, None, None] * steer
+
+    def leave_one_out(rows, ks):
+        """y minus every source of the snapshots ``rows`` but ``ks``."""
+        if k_count == 1:
+            return y[rows]
+        others = np.arange(k_count) != ks[:, None]
+        return y[rows] - np.sum(model(rows) * others[:, :, None, None], axis=1)
+
+    def joint_objective(rows):
+        misfit = np.abs(y[rows] - np.sum(model(rows), axis=1)) ** 2
+        val = -np.sum(misfit, axis=(1, 2)) / sigw2[rows, 0]
+        val -= np.sum(np.abs(coeffs[rows]) ** 2 / prior_var[rows], axis=1)
+        return val + np.sum(kappa[rows] * np.cos(np.pi * phis[rows] - chi[rows]), axis=(1, 2))
 
     resid = y.copy()
-    for k in order:
-        phis[k] = _periodogram_init(
-            ws, resid, chi_arr[k], kap_arr[k], weights[k], opts.pad_factor
+    for j in range(k_count):
+        ks = order[:, j]
+        start = _periodogram_starts(
+            resid, chi[every, ks], kappa[every, ks], weights[every, ks], opts.pad_factor
         )
-        phis[k], _, _, _ = _ascend(
-            ws, resid, phis[k], chi_arr[k], kap_arr[k], weights[k], opts
-        )
-        coeffs[k] = _coeff_update(k, resid)
-        resid = resid - coeffs[k] * ws.steering(phis[k])
+        phis[every, ks] = ascend(resid, every, ks, start)
+        coeffs[every, ks] = coeff_update(resid, every, ks)
+        resid = resid - model(every)[every, ks]
 
-    def _joint_objective():
-        model = sum(coeffs[k] * ws.steering(phis[k]) for k in range(k_count))
-        val = -float(np.sum(np.abs(y - model) ** 2)) / sigw2
-        for k in range(k_count):
-            val -= abs(coeffs[k]) ** 2 / priors[k].coeff_prior_var
-            ang = np.pi * phis[k] - chi_arr[k]
-            val += float(np.sum(kap_arr[k] * np.cos(ang)))
-        return val
-
-    trace = [_joint_objective()] if diagnostics else None
+    traces = [[value] for value in joint_objective(every)] if diagnostics else None
+    active = every
     for _ in range(opts.max_sweeps):
-        max_move = 0.0
-        for k in order:
-            others = sum(
-                coeffs[kk] * ws.steering(phis[kk]) for kk in range(k_count) if kk != k
-            )
-            resid_k = y - others if k_count > 1 else y
-            coeffs[k] = _coeff_update(k, resid_k)
-            new_phi, _, _, _ = _ascend(
-                ws, resid_k, phis[k], chi_arr[k], kap_arr[k], weights[k], opts
-            )
-            max_move = max(max_move, float(np.max(np.abs(new_phi - phis[k]))))
-            phis[k] = new_phi
-            coeffs[k] = _coeff_update(k, resid_k)
+        max_move = np.zeros(active.size)
+        for j in range(k_count):
+            ks = order[active, j]
+            resid_k = leave_one_out(active, ks)
+            new_phi = ascend(resid_k, active, ks, phis[active, ks])
+            max_move = np.maximum(max_move, np.max(np.abs(new_phi - phis[active, ks]), axis=1))
+            phis[active, ks] = new_phi
+            coeffs[active, ks] = coeff_update(resid_k, active, ks)
         if diagnostics:
-            trace.append(_joint_objective())
-        if max_move < opts.move_tol:
+            for b, value in zip(active, joint_objective(active)):
+                traces[b].append(value)
+        active = active[max_move >= opts.move_tol]
+        if active.size == 0:
             break
 
-    posteriors = []
+    posteriors = [[None] * k_count for _ in every]
+    chi_post = np.pi * (np.mod(phis + 1.0, 2.0) - 1.0)  # cosines wrapped to [-1, 1)
     for k in range(k_count):
-        others = sum(
-            coeffs[kk] * ws.steering(phis[kk]) for kk in range(k_count) if kk != k
-        )
-        resid_k = y - others if k_count > 1 else y
-        _, _, hess = _objective(
-            ws, resid_k, phis[k], chi_arr[k], kap_arr[k], weights[k]
-        )
-        comps, fallback = [], []
-        for axis in range(2):
-            curv = hess[axis, axis]
-            if curv < 0:
-                kappa_post = -curv / np.pi**2
-                fallback.append(False)
-            else:
-                kappa_post = float(kap_arr[k, axis])
-                fallback.append(True)
-            comps.append(
-                VonMises(np.pi * _wrap_cosine(phis[k, axis]), kappa_post)
+        ks = np.full(every.size, k)
+        resid_k = leave_one_out(every, ks)
+        _, _, hess = _profiled_terms(resid_k, phis[:, k], chi[:, k], kappa[:, k], weights[:, k])
+        coeff_mean = coeff_update(resid_k, every, ks)
+        curv = np.diagonal(hess, axis1=1, axis2=2)
+        fallback = curv >= 0
+        kappa_post = np.where(fallback, kappa[:, k], -curv / np.pi**2)
+        for b in every:
+            posteriors[b][k] = AoaPosterior(
+                pair=VmPair(*(VonMises(c, kp) for c, kp in zip(chi_post[b, k], kappa_post[b]))),
+                coeff_mean=complex(coeff_mean[b]),
+                coeff_var=float(post_var[b, k]),
+                curvature_fallback=tuple(bool(f) for f in fallback[b]),
             )
-        posteriors.append(
-            AoaPosterior(
-                pair=VmPair(comps[0], comps[1]),
-                coeff_mean=complex(_coeff_update(k, resid_k)),
-                coeff_var=float(post_var[k]),
-                curvature_fallback=tuple(fallback),
-            )
-        )
     if diagnostics:
-        return posteriors, np.array(trace)
+        return posteriors, [np.array(trace) for trace in traces]
     return posteriors
 
 
@@ -310,15 +320,10 @@ def extrinsic_from_posterior(posteriors, priors):
     posterior, leaving the data-only (extrinsic) belief."""
     if len(posteriors) != len(priors):
         raise ValueError("posterior and prior lists must have equal length")
-    out = []
-    for post, pri in zip(posteriors, priors):
-        out.append(
-            VmPair(
-                vm_extrinsic(post.pair.vx, pri.pair.vx),
-                vm_extrinsic(post.pair.vy, pri.pair.vy),
-            )
-        )
-    return out
+    return [
+        VmPair(vm_extrinsic(post.pair.vx, pri.pair.vx), vm_extrinsic(post.pair.vy, pri.pair.vy))
+        for post, pri in zip(posteriors, priors)
+    ]
 
 
 def match_components(reference: np.ndarray, candidates: np.ndarray) -> np.ndarray:

@@ -74,12 +74,13 @@ def farfield_aoa(
     infinite amplitude prior variance, so the profiled objective is the
     plain periodogram |g|^2 / (N sigma^2) and the coefficient is g / N.
     A component whose peak metric N |coeff|^2 / sigma^2 falls below
-    `LOW_POWER_METRIC` is flagged ``low_power``.
+    `LOW_POWER_METRIC` is flagged ``low_power``. Raises ValueError on a
+    non-finite sample or a noise power that is not finite and positive.
     """
     y_mat = np.asarray(y_t).reshape(bs_spec.ny, bs_spec.nx).T
     snapshot = SubarraySnapshot(y_mat, noise_power, k_sources)
     out = []
-    for post in estimate_aoa_posteriors(snapshot, [_FLAT_PRIOR] * k_sources):
+    for post in estimate_aoa_posteriors([snapshot], [[_FLAT_PRIOR] * k_sources])[0]:
         metric = bs_spec.n_antennas * abs(post.coeff_mean) ** 2 / noise_power
         out.append(
             FarFieldAoaEstimate(

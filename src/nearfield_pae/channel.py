@@ -303,13 +303,14 @@ class ReducedCoefficients:
         return self.gains.shape
 
 
-def subarray_steering(nx: int, ny: int, phi_x: float, phi_y: float) -> np.ndarray:
+def subarray_steering(nx: int, ny: int, phi_x, phi_y) -> np.ndarray:
     """Plane-wave response of an (nx, ny) subarray at direction cosines
     (phi_x, phi_y); entry (i, j) is exp(+j pi (i phi_x + j phi_y)),
-    1-based indices."""
-    i = np.arange(1, nx + 1)
-    j = np.arange(1, ny + 1)
-    return np.exp(1j * np.pi * phi_x * i)[:, None] * np.exp(1j * np.pi * phi_y * j)[None, :]
+    1-based indices. Cosine arrays of one shape S give responses of
+    shape S + (nx, ny)."""
+    ax = np.exp(np.multiply.outer(1j * np.pi * np.asarray(phi_x), np.arange(1, nx + 1)))
+    ay = np.exp(np.multiply.outer(1j * np.pi * np.asarray(phi_y), np.arange(1, ny + 1)))
+    return ax[..., :, None] * ay[..., None, :]
 
 
 def reduced_coefficients(
@@ -369,14 +370,10 @@ def reduced_received(
     n_b = plan.bs_spec.n_antennas
     y = np.zeros((n_b, t_count), dtype=np.complex128)
     for mi, sub in enumerate(plan.subarrays):
-        rows = plan.subarray_row_indices(mi + 1)
-        for t in range(t_count):
-            block = np.zeros((sub.nx, sub.ny), dtype=np.complex128)
-            for k in range(k_count):
-                block += coeffs.gains[mi, k, t] * subarray_steering(
-                    sub.nx, sub.ny, *coeffs.cosines[mi, k, t]
-                )
-            y[rows, t] = block
+        phi = coeffs.cosines[mi]  # (K, T, 2)
+        steer = subarray_steering(sub.nx, sub.ny, phi[..., 0], phi[..., 1])
+        blocks = np.sum(coeffs.gains[mi, :, :, None, None] * steer, axis=0)  # (T, nx, ny)
+        y[plan.subarray_row_indices(mi + 1)] = blocks.transpose(1, 2, 0)
     if noise_power_w > 0:
         if rng is None:
             raise ValueError("an RNG is required when noise power is positive")

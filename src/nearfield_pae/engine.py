@@ -60,10 +60,8 @@ from .geometry import (
     ray_from_cosines,
     rigid_antenna_chain,
     rotation_basis,
-    rotation_basis_derivatives,
-    rotation_matrix_from_theta,
 )
-from .partition import PartitionPlan
+from .partition import PartitionPlan, subarray_groups
 
 _KAPPA_FLOOR = 1e-12
 
@@ -511,12 +509,10 @@ def project_pose_to_antennas(
     """Push a pose belief through the rigid-body constraint via first-order
     linearization of the rotation in the attitude."""
     pose = state.pose_mean[k, t]
-    basis = rotation_matrix_from_theta(pose[3:])
-    mean = pose[:3] + basis @ q_local
-    dbasis = rotation_basis_derivatives(pose[3:])
-    q_mat = np.stack([dbasis[axis] @ q_local for axis in range(3)], axis=1)
+    offsets, jac, _ = rigid_antenna_chain(pose[None, 3:], q_local[None, None], order=1)
+    q_mat = jac[0, 0, :, 3:]
     cov = state.pose_cov_p[k, t] + q_mat @ state.pose_cov_theta[k, t] @ q_mat.T
-    return GaussianBelief(mean, 0.5 * (cov + cov.T))
+    return GaussianBelief(pose[:3] + offsets[0, 0], 0.5 * (cov + cov.T))
 
 
 def feedback_messages(state: MessageState, plan: PartitionPlan, cfg: EstimatorConfig):
@@ -526,7 +522,8 @@ def feedback_messages(state: MessageState, plan: PartitionPlan, cfg: EstimatorCo
     The message for subarray m combines, in information form, the
     pose-projected belief with the Laplace fit of the composite in which
     subarray m's concentrations are masked to zero. A flat or indefinite
-    leave-one-out composite leaves the pose-projected belief alone.
+    leave-one-out composite, or one whose precision plus the pose-projected
+    one is not definite beyond rounding, leaves the pose-projected belief.
     Writes ``prior_mean`` and ``prior_cov``; returns (MS, flag) pairs.
     """
     m_count, k_count, t_count = state.shape
@@ -547,13 +544,18 @@ def feedback_messages(state: MessageState, plan: PartitionPlan, cfg: EstimatorCo
     solve = np.flatnonzero(~flat)
     if solve.size:
         fits = composite_fits(refs, chis[solve], kappas[solve], inits[solve], cfg.ga)
-        dropped[solve] = fits.regularized
-        used = solve[~fits.regularized]
+        keep = np.flatnonzero(~fits.regularized)
+        eta_prec = np.linalg.inv(eta_cov.reshape(-1, 3, 3)[solve[keep]])
+        # a fit precision's rounding (eps times eigenvalues up to ~1e21)
+        # can swamp the pose-projected precision: a sum not definite beyond
+        # a few eps of its largest eigenvalue is dropped like an indefinite fit
+        vals = np.linalg.eigvalsh(eta_prec + fits.precision[keep])
+        definite = vals[:, 0] > 8.0 * np.finfo(float).eps * vals[:, -1]
+        keep, eta_prec = keep[definite], eta_prec[definite]
+        used = solve[keep]
+        dropped[np.setdiff1d(solve, used)] = True
         mean, cov, _ = information_product(
-            eta_mean.reshape(-1, 3)[used],
-            np.linalg.inv(eta_cov.reshape(-1, 3, 3)[used]),
-            fits.mean[~fits.regularized],
-            fits.precision[~fits.regularized],
+            eta_mean.reshape(-1, 3)[used], eta_prec, fits.mean[keep], fits.precision[keep]
         )
         cell = np.unravel_index(used, (m_count, k_count, t_count))
         state.prior_mean[cell] = mean
@@ -610,39 +612,37 @@ def aoa_module_pass(
     cfg: EstimatorConfig,
 ):
     """Run the line-spectral stage on every (subarray, slot) and store the
-    extrinsic cosine beliefs; returns (MS, flag) pairs."""
+    extrinsic cosine beliefs; returns (MS, flag) pairs. The snapshots of
+    all subarrays of one shape, in every slot, go to one stacked
+    `estimate_aoa_posteriors` call."""
     m_count, k_count, t_count = state.shape
-    refs = plan.reference_positions()
+    refs, noise = plan.reference_positions(), scenario.noise_power_w
+
+    def prior(m, k, t):
+        belief = GaussianBelief(state.prior_mean[m, k, t], state.prior_cov[m, k, t])
+        return SourcePrior(gaussian_to_vm(belief, refs[m]), cfg.coeff_prior_var)
+
+    priors_by_mt = [
+        [[prior(m, k, t) for k in range(k_count)] for t in range(t_count)] for m in range(m_count)
+    ]
     posts_by_mt = [[None] * t_count for _ in range(m_count)]
-    priors_by_mt = [[None] * t_count for _ in range(m_count)]
-    flags = []
-    for m in range(m_count):
-        for t in range(t_count):
-            snapshot = SubarraySnapshot(
-                extract_subarray(signal, plan, m + 1, t),
-                scenario.noise_power_w,
-                k_count,
-            )
-            priors = []
-            for k in range(k_count):
-                pair = gaussian_to_vm(
-                    GaussianBelief(
-                        state.prior_mean[m, k, t], state.prior_cov[m, k, t]
-                    ),
-                    refs[m],
-                )
-                priors.append(SourcePrior(pair, cfg.coeff_prior_var))
-            posts_by_mt[m][t] = estimate_aoa_posteriors(snapshot, priors, cfg.aoa)
-            priors_by_mt[m][t] = priors
+    for group in subarray_groups(plan):
+        cells = [(m, t) for m in group.members for t in range(t_count)]
+        snapshots = [
+            SubarraySnapshot(extract_subarray(signal, plan, m + 1, t), noise, k_count)
+            for m, t in cells
+        ]
+        posts = estimate_aoa_posteriors(snapshots, [priors_by_mt[m][t] for m, t in cells], cfg.aoa)
+        for (m, t), post in zip(cells, posts):
+            posts_by_mt[m][t] = post
     if state.iteration == 0 and k_count > 1:
         posts_by_mt = _relabel_first_iteration(posts_by_mt, plan, k_count)
+    flags = []
     for m in range(m_count):
         for t in range(t_count):
             exts = extrinsic_from_posterior(posts_by_mt[m][t], priors_by_mt[m][t])
             for k in range(k_count):
-                chi, kappa = exts[k].as_arrays()
-                state.ext_chi[m, k, t] = chi
-                state.ext_kappa[m, k, t] = kappa
+                state.ext_chi[m, k, t], state.ext_kappa[m, k, t] = exts[k].as_arrays()
                 state.coeff_mag[m, k, t] = abs(posts_by_mt[m][t][k].coeff_mean)
                 if any(posts_by_mt[m][t][k].curvature_fallback):
                     flags.append((k, f"aoa_curvature_m{m}k{k}t{t}"))

@@ -33,7 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ScenarioConfig, nearfield_channel_vector, reduced_coefficients
+from .channel import (
+    ScenarioConfig,
+    nearfield_channel_vector,
+    reduced_coefficients,
+    subarray_steering,
+)
 from .geometry import (
     Pose,
     bs_antenna_grid,
@@ -43,7 +48,7 @@ from .geometry import (
     rigid_antenna_chain,
     rotation_basis_second_derivatives,
 )
-from .partition import PartitionPlan
+from .partition import PartitionPlan, SubarrayGroup, subarray_groups
 
 # pseudotrue fit tolerances, relative to ||mu_exact|| (residual norm)
 # and ||mu_exact||^2 (gradient entries), and conditioning thresholds
@@ -115,19 +120,13 @@ def reduced_embedding(
     cols = np.zeros((n_b * t_count, m_count * k_count * t_count), dtype=np.complex128)
     for mi, sub in enumerate(plan.subarrays):
         rows = plan.subarray_row_indices(mi + 1).ravel()
-        ii = np.arange(1, sub.nx + 1, dtype=float)
-        jj = np.arange(1, sub.ny + 1, dtype=float)
         for k in range(k_count):
             diff = antennas[k] - sub.ref_position[None, :]
             r = np.linalg.norm(diff, axis=1)
             phi = diff[:, :2] / r[:, None]
             for t in range(t_count):
-                steer = (
-                    np.exp(1j * np.pi * phi[t, 0] * ii)[:, None]
-                    * np.exp(1j * np.pi * phi[t, 1] * jj)[None, :]
-                )
                 col = (mi * k_count + k) * t_count + t
-                cols[t * n_b + rows, col] = steer.ravel()
+                cols[t * n_b + rows, col] = subarray_steering(sub.nx, sub.ny, *phi[t]).ravel()
     return cols
 
 
@@ -164,42 +163,7 @@ def unpack_extended(gamma_ff: np.ndarray, k_count: int):
     return gamma, tail[:, 0] + 1j * tail[:, 1]
 
 
-@dataclass(frozen=True)
-class _SubarrayGroup:
-    """Subarrays of one shape, so that their steering blocks stack into
-    one array: 0-based indices (G,), signal rows (G, N) in raveled (i, j)
-    order, reference positions (G, 3) and the 1-based element indices i
-    and j of every row (2, N)."""
-
-    members: np.ndarray
-    rows: np.ndarray
-    refs: np.ndarray
-    ramps: np.ndarray
-
-
-def _subarray_groups(plan: PartitionPlan) -> list:
-    by_shape = {}
-    for mi, sub in enumerate(plan.subarrays):
-        by_shape.setdefault((sub.nx, sub.ny), []).append(mi)
-    groups = []
-    for (nx, ny), members in by_shape.items():
-        ii, jj = np.meshgrid(
-            np.arange(1.0, nx + 1), np.arange(1.0, ny + 1), indexing="ij"
-        )
-        groups.append(
-            _SubarrayGroup(
-                members=np.array(members),
-                rows=np.array(
-                    [plan.subarray_row_indices(mi + 1).ravel() for mi in members]
-                ),
-                refs=np.array([plan.subarrays[mi].ref_position for mi in members]),
-                ramps=np.stack([ii.ravel(), jj.ravel()]),
-            )
-        )
-    return groups
-
-
-def _block_gain_index(group: _SubarrayGroup, k_count: int, t_count: int) -> np.ndarray:
+def _block_gain_index(group: SubarrayGroup, k_count: int, t_count: int) -> np.ndarray:
     """(G, T, K) positions of a group's gains in the gain vector."""
     m = group.members[:, None, None]
     return (m * k_count + np.arange(k_count)) * t_count + np.arange(t_count)[:, None]
@@ -229,7 +193,7 @@ def _antenna_derivatives(gamma: np.ndarray, scenario: ScenarioConfig, order: int
     return antennas, first, second
 
 
-def _steering_blocks(antennas, first, second, group: _SubarrayGroup):
+def _steering_blocks(antennas, first, second, group: SubarrayGroup):
     """Steering vectors of a group, (G, K, T, N), and their derivatives.
 
     The steering phase is pi (i phi_x + j phi_y), so da/dgamma = j dphase a
@@ -252,7 +216,7 @@ def _steering_blocks(antennas, first, second, group: _SubarrayGroup):
     return steer, dphase, d2phi
 
 
-def _observed_blocks(mu: np.ndarray, group: _SubarrayGroup, t_count: int) -> np.ndarray:
+def _observed_blocks(mu: np.ndarray, group: SubarrayGroup, t_count: int) -> np.ndarray:
     """(G, T, N) blocks of a stacked mean vector."""
     return mu.reshape(t_count, -1)[:, group.rows].transpose(1, 0, 2)
 
@@ -319,7 +283,7 @@ def pseudotrue_fit(
     truth = np.asarray(truth, dtype=float)
     mu_exact = exact_mean(truth, scenario)
     power = float(np.vdot(mu_exact, mu_exact).real)
-    groups = _subarray_groups(plan)
+    groups = subarray_groups(plan)
 
     def scaled(gamma):
         objective, grad, _ = _projected_residual(gamma, mu_exact, scenario, groups)
@@ -367,7 +331,7 @@ def _information_terms(
     s2 = np.zeros((n, n))
     z = np.zeros(n)
     antennas, first, second = _antenna_derivatives(gamma0, scenario, order=2)
-    for group in _subarray_groups(plan):
+    for group in subarray_groups(plan):
         steer, dphase, d2phi = _steering_blocks(antennas, first, second, group)
         gidx = _block_gain_index(group, k_count, t_count)
         c = c0[gidx]

@@ -135,6 +135,36 @@ class PartitionPlan:
         return max(s.rayleigh_distance(self.lam) for s in self.subarrays)
 
 
+@dataclass(frozen=True)
+class SubarrayGroup:
+    """Subarrays of one shape, so that their blocks stack into one array:
+    0-based indices (G,), signal rows (G, N) in raveled (i, j) order,
+    reference positions (G, 3) and the 1-based element indices i and j of
+    every row (2, N)."""
+
+    members: np.ndarray
+    rows: np.ndarray
+    refs: np.ndarray
+    ramps: np.ndarray
+
+
+def subarray_groups(plan: PartitionPlan) -> list:
+    """The plan's subarrays grouped by shape, in order of first
+    appearance; a uniform partition is one group."""
+    by_shape = {}
+    for mi, sub in enumerate(plan.subarrays):
+        by_shape.setdefault((sub.nx, sub.ny), []).append(mi)
+    return [
+        SubarrayGroup(
+            members=np.array(members),
+            rows=np.array([plan.subarray_row_indices(mi + 1).ravel() for mi in members]),
+            refs=np.array([plan.subarrays[mi].ref_position for mi in members]),
+            ramps=np.indices(shape).reshape(2, -1) + 1.0,
+        )
+        for shape, members in by_shape.items()
+    ]
+
+
 def make_descriptor(
     bs_spec: UraSpec, lam: float, m: int, origin: tuple, nx: int, ny: int
 ) -> SubarrayDescriptor:

@@ -45,7 +45,7 @@ class TestSingleSource:
     def test_noiseless_recovery(self):
         phi = (0.31, -0.52)
         snap = make_snapshot(8, 8, [(1e-4 + 2e-4j, phi)])
-        post = estimate_aoa_posteriors(snap, [uniform_prior()])[0]
+        post = estimate_aoa_posteriors([snap], [[uniform_prior()]])[0][0]
         assert np.allclose(post.cosines, phi, atol=1e-6)
         assert post.coeff_mean == pytest.approx(1e-4 + 2e-4j, rel=1e-3)
         assert post.pair.vx.kappa > 1e4
@@ -55,7 +55,7 @@ class TestSingleSource:
         for n in (4, 5, 8):
             phi = tuple(rng.uniform(-0.8, 0.8, 2))
             snap = make_snapshot(n, n, [(3e-4, phi)])
-            post = estimate_aoa_posteriors(snap, [uniform_prior()])[0]
+            post = estimate_aoa_posteriors([snap], [[uniform_prior()]])[0][0]
             assert np.allclose(post.cosines, phi, atol=1e-6)
 
     def test_zero_snapshot_returns_prior(self):
@@ -65,7 +65,7 @@ class TestSingleSource:
             rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         )
         snap = SubarraySnapshot(noise, SIGW2, 1)
-        post = estimate_aoa_posteriors(snap, [prior])[0]
+        post = estimate_aoa_posteriors([snap], [[prior]])[0][0]
         # belief stays near the prior and the coefficient is tiny
         assert abs(post.pair.vx.chi - prior.pair.vx.chi) < 0.2
         assert abs(post.coeff_mean) < 10 * np.sqrt(SIGW2)
@@ -75,7 +75,7 @@ class TestSingleSource:
         kappas = []
         for amp in (1e-5, 1e-4, 1e-3):
             snap = make_snapshot(8, 8, [(amp, phi)], rng=np.random.default_rng(2))
-            post = estimate_aoa_posteriors(snap, [uniform_prior(coeff_var=1.0)])[0]
+            post = estimate_aoa_posteriors([snap], [[uniform_prior(coeff_var=1.0)]])[0][0]
             kappas.append(post.pair.vx.kappa)
         assert kappas[0] < kappas[1] < kappas[2]
 
@@ -96,8 +96,8 @@ class TestTwoSources:
             c2 = amp * np.exp(2j * np.pi * rng.random())
             snap = make_snapshot(nx, nx, [(c1, phi1), (c2, phi2)], rng=rng)
             posts = estimate_aoa_posteriors(
-                snap, [uniform_prior(amp**2), uniform_prior(amp**2)]
-            )
+                [snap], [[uniform_prior(amp**2), uniform_prior(amp**2)]]
+            )[0]
             est = sorted([tuple(p.cosines) for p in posts])
             true = sorted([phi1, phi2])
             errors.append(np.array(est) - np.array(true))
@@ -109,8 +109,8 @@ class TestTwoSources:
         snap = make_snapshot(8, 8, [(2e-4, phi1), (1e-4, phi2)])
         p1 = informative_prior(phi1, 50.0)
         p2 = informative_prior(phi2, 50.0)
-        a = estimate_aoa_posteriors(snap, [p1, p2])
-        b = estimate_aoa_posteriors(snap, [p2, p1])
+        a = estimate_aoa_posteriors([snap], [[p1, p2]])[0]
+        b = estimate_aoa_posteriors([snap], [[p2, p1]])[0]
         assert np.allclose(a[0].cosines, b[1].cosines, atol=1e-9)
         assert np.allclose(a[1].cosines, b[0].cosines, atol=1e-9)
 
@@ -119,9 +119,9 @@ class TestTwoSources:
         snap = make_snapshot(
             8, 8, [(2e-4, (0.3, 0.1)), (1.5e-4, (-0.2, -0.4))], rng=rng
         )
-        _, trace = estimate_aoa_posteriors(
-            snap,
-            [uniform_prior(), uniform_prior()],
+        _, (trace,) = estimate_aoa_posteriors(
+            [snap],
+            [[uniform_prior(), uniform_prior()]],
             diagnostics=True,
         )
         diffs = np.diff(trace)
@@ -138,10 +138,10 @@ class TestInvariances:
         scale = 37.0
         snap_a = SubarraySnapshot(y, SIGW2, 1)
         snap_b = SubarraySnapshot(scale * y, scale**2 * SIGW2, 1)
-        post_a = estimate_aoa_posteriors(snap_a, [uniform_prior(amp**2)])[0]
+        post_a = estimate_aoa_posteriors([snap_a], [[uniform_prior(amp**2)]])[0][0]
         post_b = estimate_aoa_posteriors(
-            snap_b, [uniform_prior(scale**2 * amp**2)]
-        )[0]
+            [snap_b], [[uniform_prior(scale**2 * amp**2)]]
+        )[0][0]
         assert np.allclose(post_a.cosines, post_b.cosines, atol=1e-10)
         assert post_a.pair.vx.kappa == pytest.approx(
             post_b.pair.vx.kappa, rel=1e-8
@@ -155,7 +155,7 @@ class TestInvariances:
         # case directly via a flat (all-ones) snapshot and huge prior
         snap = SubarraySnapshot(np.zeros((4, 4), dtype=complex) + 1e-30, 1.0, 1)
         prior = informative_prior((0.0, 0.0), 10.0, coeff_var=1e-30)
-        post = estimate_aoa_posteriors(snap, [prior])[0]
+        post = estimate_aoa_posteriors([snap], [[prior]])[0][0]
         # with no data information the posterior concentration equals the
         # prior's whether or not the fallback fired
         assert post.pair.vx.kappa == pytest.approx(10.0, rel=1e-3)
@@ -166,7 +166,7 @@ class TestExtrinsic:
         phi = (0.4, 0.1)
         snap = make_snapshot(8, 8, [(2e-4, phi)])
         priors = [uniform_prior()]
-        posts = estimate_aoa_posteriors(snap, priors)
+        posts = estimate_aoa_posteriors([snap], [priors])[0]
         ext = extrinsic_from_posterior(posts, priors)[0]
         assert ext.vx.kappa == pytest.approx(posts[0].pair.vx.kappa, rel=1e-5)
         assert ext.vx.chi == pytest.approx(posts[0].pair.vx.chi, abs=1e-6)
@@ -217,4 +217,4 @@ def test_snapshot_validation():
         SubarraySnapshot(np.zeros((2, 2), dtype=complex), 1.0, 0)
     snap = SubarraySnapshot(np.zeros((2, 2), dtype=complex), 1.0, 2)
     with pytest.raises(ValueError, match="priors"):
-        estimate_aoa_posteriors(snap, [uniform_prior()])
+        estimate_aoa_posteriors([snap], [[uniform_prior()]])

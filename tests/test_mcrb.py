@@ -19,9 +19,8 @@ from nearfield_pae.mcrb import (
     unpack_extended,
     _information_terms,
     _projected_residual,
-    _subarray_groups,
 )
-from nearfield_pae.partition import uniform_partition
+from nearfield_pae.partition import subarray_groups, uniform_partition
 from oracles import reduced_fisher_analytic, reduced_mean
 
 
@@ -57,7 +56,7 @@ class TestPseudotrue:
         poses = draw_poses(sc, rng)
         truth = pack_poses(poses)
         mu = exact_mean(truth, sc)
-        _, _, c = _projected_residual(truth, mu, sc, _subarray_groups(plan))
+        _, _, c = _projected_residual(truth, mu, sc, subarray_groups(plan))
         emb = reduced_embedding(truth, sc, plan)
         n_b = sc.bs.n_antennas
         for mi in range(plan.n_subarrays):
@@ -132,7 +131,7 @@ class TestPseudotrue:
 
         # a generic point near the truth
         gamma = truth + np.random.default_rng(7).normal(0.0, 1e-3, truth.size)
-        objective, grad, _ = _projected_residual(gamma, mu, sc, _subarray_groups(plan))
+        objective, grad, _ = _projected_residual(gamma, mu, sc, subarray_groups(plan))
         assert objective == pytest.approx(brute_objective(gamma), rel=1e-10)
         step = 1e-6
         oracle = np.zeros_like(gamma)
