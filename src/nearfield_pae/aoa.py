@@ -34,7 +34,7 @@ from .circular import GaOptions, VmPair, VonMises, newton_fits, vm_extrinsic
 
 # periodogram grid points per slice of the stack (one snapshot at least):
 # one fft2 over the 80 padded grids of a pass adds about 4 MB of peak
-# memory; 2**12 points take 64 kB, 1.6 ms per start on 80 8x8 snapshots
+# memory; 2**12 points take 64 kB, 1.6 ms per 80-snapshot start (2-core x86)
 _GRID_SLICE_POINTS = 2**12
 
 
