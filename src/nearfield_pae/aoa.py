@@ -97,8 +97,8 @@ class AoaOptions:
     `circular.GaOptions` (|grad F| < ``grad_tol`` |F|, ``max_ascent``
     steps, ``max_backtracks``). ``grad_tol`` sits at the attainable
     gradient, about sqrt(eps |F| |H|) ~ 1e-7 |F| on 8x8 snapshots; below
-    it the line search backtracks in vain (at 1e-8 that was a third of
-    the stage's time on apple-k2)."""
+    it the line search backtracks in vain (at 1e-8, a third of this
+    routine's time on apple-k2)."""
 
     max_sweeps: int = 20
     move_tol: float = 1e-6

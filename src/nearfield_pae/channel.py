@@ -310,8 +310,7 @@ def subarray_steering(nx: int, ny: int, phi_x, phi_y) -> np.ndarray:
     shape S + (nx, ny)."""
     ax = np.exp(np.multiply.outer(1j * np.pi * np.asarray(phi_x), np.arange(1, nx + 1)))
     ay = np.exp(np.multiply.outer(1j * np.pi * np.asarray(phi_y), np.arange(1, ny + 1)))
-    # einsum, not a broadcast product: numpy buffers the latter, about
-    # 2.5 times the result's size in temporaries
+    # einsum: numpy buffers a broadcast product, 2.5 times the result's size
     return np.einsum("...i,...j->...ij", ax, ay)
 
 
