@@ -9,14 +9,7 @@ fusion stage, and benchmarks the result against a misspecification-aware
 error lower bound and a far-field two-stage baseline.
 """
 
-from .aoa import (
-    AoaOptions,
-    AoaPosterior,
-    SourcePrior,
-    SubarraySnapshot,
-    estimate_aoa_posteriors,
-    extrinsic_from_posterior,
-)
+from .aoa import AoaOptions, AoaPosteriors, estimate_aoa_posteriors
 from .baseline import FarFieldAoaEstimate, farfield_aoa, pose_from_aoas, run_baseline
 from .channel import (
     ReceivedSignal,

@@ -20,6 +20,9 @@ Badiu, Hansen & Fleury, IEEE TSP 2017).
 `estimate_aoa_posteriors` solves a stack of snapshots at once: sliced
 periodogram starts, one `circular.newton_fits` solve per source position
 for the 2-D ascents, and sweeps under a per-snapshot convergence mask.
+Its inputs and outputs are arrays: stacked samples (B, nx, ny), noise
+powers (B,), von Mises prior means and concentrations (B, K, 2) and
+amplitude prior variances (B, K) in; an `AoaPosteriors` of arrays out.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import subarray_steering
-from .circular import GaOptions, VmPair, VonMises, newton_fits, vm_extrinsic
+from .circular import GaOptions, newton_fits, vm_normalize
 
 # periodogram grid points per slice of the stack (one snapshot at least):
 # one fft2 over the 80 padded grids of a pass adds about 4 MB of peak
@@ -38,57 +41,25 @@ from .circular import GaOptions, VmPair, VonMises, newton_fits, vm_extrinsic
 _GRID_SLICE_POINTS = 2**12
 
 
-@dataclass
-class SubarraySnapshot:
-    """One subarray's received block in one slot plus its noise level.
-    Raises ValueError on non-finite samples or a noise power that is not
-    finite and positive."""
-
-    samples: np.ndarray  # (nx, ny) complex
-    noise_power: float
-    source_count: int
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=np.complex128)
-        if s.ndim != 2:
-            raise ValueError(f"snapshot must be 2-D, got shape {s.shape}")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("snapshot samples must be finite")
-        if not (math.isfinite(self.noise_power) and self.noise_power > 0):
-            raise ValueError(f"noise power must be finite and positive, got {self.noise_power}")
-        if self.source_count < 1:
-            raise ValueError("need at least one source")
-        self.samples = s
-
-
 @dataclass(frozen=True)
-class SourcePrior:
-    """Direction-cosine prior for one source plus its amplitude prior
-    variance; an infinite variance is a flat amplitude prior. Raises
-    ValueError on a variance that is not positive (NaN included)."""
+class AoaPosteriors:
+    """Posteriors of the K sources of B snapshots, in prior order: von
+    Mises means ``chi`` and concentrations ``kappa`` (B, K, 2) over the
+    scaled cosines (`circular.vm_normalize`d), amplitude means (complex)
+    and variances (B, K), the axes whose curvature fell back to the prior
+    (B, K, 2), and with ``diagnostics`` one objective trace per snapshot."""
 
-    pair: VmPair
-    coeff_prior_var: float
-
-    def __post_init__(self):
-        if not self.coeff_prior_var > 0:
-            raise ValueError(f"amplitude prior variance must be > 0, got {self.coeff_prior_var}")
-
-
-@dataclass
-class AoaPosterior:
-    """Posterior belief for one source: per-axis von Mises over the scaled
-    cosines, plus the amplitude's Gaussian posterior (diagnostic)."""
-
-    pair: VmPair
-    coeff_mean: complex
-    coeff_var: float
-    curvature_fallback: tuple = (False, False)
+    chi: np.ndarray
+    kappa: np.ndarray
+    coeff_mean: np.ndarray
+    coeff_var: np.ndarray
+    curvature_fallback: np.ndarray
+    traces: list | None = None
 
     @property
     def cosines(self) -> np.ndarray:
-        """Point estimate of (phi_x, phi_y) from the posterior means."""
-        return np.array([self.pair.vx.chi, self.pair.vy.chi]) / math.pi
+        """Point estimates of (phi_x, phi_y), (B, K, 2), from the means."""
+        return self.chi / math.pi
 
 
 @dataclass(frozen=True)
@@ -98,7 +69,8 @@ class AoaOptions:
     steps, ``max_backtracks``). ``grad_tol`` sits at the attainable
     gradient, about sqrt(eps |F| |H|) ~ 1e-7 |F| on 8x8 snapshots; below
     it the line search backtracks in vain (at 1e-8, a third of this
-    routine's time on apple-k2)."""
+    routine's time on apple-k2). Raises ValueError on a ``pad_factor``
+    below 1."""
 
     max_sweeps: int = 20
     move_tol: float = 1e-6
@@ -106,6 +78,10 @@ class AoaOptions:
     grad_tol: float = 1e-7
     max_ascent: int = 40
     max_backtracks: int = 50
+
+    def __post_init__(self):
+        if not self.pad_factor >= 1:
+            raise ValueError(f"pad_factor must be >= 1, got {self.pad_factor}")
 
 
 def _projections(resid: np.ndarray, phi: np.ndarray, order: int = 2):
@@ -179,59 +155,86 @@ def _periodogram_starts(resid, chi, kappa, weight, pad_factor: int) -> np.ndarra
     return np.stack([phi_x[ix], phi_y[iy]], axis=-1)
 
 
+def _checked_inputs(samples, noise_power, prior_chi, prior_kappa, coeff_prior_var):
+    """The routine's inputs as arrays, or ValueError on a bad one."""
+    y = np.asarray(samples, dtype=np.complex128)
+    if y.ndim != 3 or y.shape[0] == 0:
+        raise ValueError(f"need at least one snapshot, stacked as (B, nx, ny), got shape {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("snapshot samples must be finite")
+    sigw2, chi, kappa, prior_var = (
+        np.asarray(a, dtype=float) for a in (noise_power, prior_chi, prior_kappa, coeff_prior_var)
+    )
+    b_count = y.shape[0]
+    if sigw2.shape != (b_count,) or chi.ndim != 3 or chi.shape[::2] != (b_count, 2):
+        raise ValueError(
+            f"expected {b_count} noise powers and prior lists (means (B, K, 2)), "
+            f"got shapes {sigw2.shape} and {chi.shape}"
+        )
+    if kappa.shape != chi.shape or prior_var.shape != chi.shape[:2] or chi.shape[1] == 0:
+        raise ValueError(
+            f"expected {chi.shape[1]} >= 1 priors per snapshot, got concentrations "
+            f"{kappa.shape} and amplitude variances {prior_var.shape}"
+        )
+    bad = sigw2[~(np.isfinite(sigw2) & (sigw2 > 0))]
+    if bad.size:
+        raise ValueError(f"noise power must be finite and positive, got {bad[0]}")
+    if not (np.all(np.isfinite(chi)) and np.all(np.isfinite(kappa) & (kappa >= 0))):
+        raise ValueError("prior means must be finite and concentrations finite and >= 0")
+    bad = prior_var[~(prior_var > 0)]
+    if bad.size:
+        raise ValueError(f"amplitude prior variance must be > 0, got {bad[0]}")
+    return y, sigw2[:, None], chi, kappa, prior_var
+
+
 def estimate_aoa_posteriors(
-    snapshots,
-    priors,
+    samples,
+    noise_power,
+    prior_chi,
+    prior_kappa,
+    coeff_prior_var,
     opts: AoaOptions = AoaOptions(),
     diagnostics: bool = False,
-):
+) -> AoaPosteriors:
     """Joint posteriors of the K sources of every snapshot in a stack.
 
-    ``snapshots``: B `SubarraySnapshot`s of one shape and source count K;
-    ``priors``: one list of K `SourcePrior`s per snapshot. Each snapshot
-    processes its sources in the order of their priors' values (most
-    concentrated first, ties by mean), so permuting its prior list permutes
-    its outputs alike. Sources start one after another at the peak of the
-    prior-weighted periodogram of the running residual (sliced over the
-    stack, `_GRID_SLICE_POINTS`); coordinate-ascent sweeps then refine
-    them, sweep position j of every unconverged snapshot in one stacked
-    Newton solve. A snapshot leaves the stack after the first sweep that
-    moved none of its cosines by more than ``move_tol``, so it runs the
-    sweeps it would run alone.
+    ``samples`` (B, nx, ny) are the snapshots and ``noise_power`` (B,)
+    their noise levels; source k of snapshot b has the von Mises prior
+    ``prior_chi[b, k]``, ``prior_kappa[b, k]`` (B, K, 2) over the scaled
+    cosines and the amplitude prior variance ``coeff_prior_var[b, k]``
+    (B, K), where an infinite variance is a flat amplitude prior. Each
+    snapshot processes its sources in the order of their priors' values
+    (most concentrated first, ties by mean), so permuting its priors
+    permutes its outputs alike. Sources start one after another at the
+    peak of the prior-weighted periodogram of the running residual (sliced
+    over the stack, `_GRID_SLICE_POINTS`); coordinate-ascent sweeps then
+    refine them, sweep position j of every unconverged snapshot in one
+    stacked Newton solve. A snapshot leaves the stack after the first
+    sweep that moved none of its cosines by more than ``move_tol``, so it
+    runs the sweeps it would run alone.
 
-    Returns one posterior list per snapshot, in prior order, and with
-    ``diagnostics`` one non-decreasing joint-objective trace per snapshot
-    (a value per sweep). Raises ValueError on a mixed stack.
+    Returns an `AoaPosteriors`; with ``diagnostics`` its ``traces`` hold
+    one non-decreasing joint-objective trace per snapshot (a value per
+    sweep). Raises ValueError on non-finite samples, a noise power that is
+    not finite and positive, a non-finite prior mean, a negative or
+    non-finite concentration, an amplitude variance that is not positive
+    (NaN included), or inputs of mismatched shapes.
     """
-    snapshots = list(snapshots)
-    priors = [list(p) for p in priors]
-    if not snapshots:
-        raise ValueError("need at least one snapshot")
-    if len(priors) != len(snapshots):
-        raise ValueError(f"expected {len(snapshots)} prior lists, got {len(priors)}")
-    shape = snapshots[0].samples.shape
-    k_count = snapshots[0].source_count
-    if any(s.samples.shape != shape or s.source_count != k_count for s in snapshots):
-        raise ValueError("snapshots must share one shape and one source count")
-    if any(len(pri) != k_count for pri in priors):
-        raise ValueError(f"expected {k_count} priors per snapshot")
-    y = np.stack([s.samples for s in snapshots])  # (B, nx, ny)
-    sigw2 = np.array([float(s.noise_power) for s in snapshots])[:, None]  # (B, 1)
-    chi = np.array([[p.pair.as_arrays()[0] for p in pri] for pri in priors])  # (B, K, 2)
-    kappa = np.array([[p.pair.as_arrays()[1] for p in pri] for pri in priors])
-    prior_var = np.array([[p.coeff_prior_var for p in pri] for pri in priors])  # (B, K)
-    post_var = 1.0 / (y[0].size / sigw2 + 1.0 / prior_var)
-    weights = post_var / sigw2**2
-    every = np.arange(len(snapshots))
-    # (B, K): the source at each sweep position
-    order = np.array(
-        [sorted(range(k_count), key=lambda k: (-np.sum(kappa[b, k]), *chi[b, k])) for b in every]
+    y, sigw2, chi, kappa, prior_var = _checked_inputs(
+        samples, noise_power, prior_chi, prior_kappa, coeff_prior_var
     )
+    b_count, nx, ny = y.shape
+    k_count = chi.shape[1]
+    post_var = 1.0 / (nx * ny / sigw2 + 1.0 / prior_var)
+    weights = post_var / sigw2**2
+    every = np.arange(b_count)
+    # (B, K): the source at each sweep position (lexsort is stable)
+    order = np.lexsort((chi[..., 1], chi[..., 0], -np.sum(kappa, axis=-1)), axis=-1)
     ga = GaOptions(
         grad_tol=opts.grad_tol, max_polish=opts.max_ascent, max_backtracks=opts.max_backtracks
     )
-    phis = np.zeros((len(snapshots), k_count, 2))
-    coeffs = np.zeros((len(snapshots), k_count), dtype=np.complex128)
+    phis = np.zeros((b_count, k_count, 2))
+    coeffs = np.zeros((b_count, k_count), dtype=np.complex128)
 
     def ascend(resid, rows, ks, start):
         args = (chi[rows, ks], kappa[rows, ks], weights[rows, ks])
@@ -249,7 +252,7 @@ def estimate_aoa_posteriors(
         return post_var[rows, ks] / sigw2[rows, 0] * g
 
     def model(rows):  # (b, K, nx, ny): every source of the snapshots rows
-        steer = subarray_steering(*shape, phis[rows, :, 0], phis[rows, :, 1])
+        steer = subarray_steering(nx, ny, phis[rows, :, 0], phis[rows, :, 1])
         return coeffs[rows, :, None, None] * steer
 
     def leave_one_out(rows, ks):
@@ -293,37 +296,27 @@ def estimate_aoa_posteriors(
         if active.size == 0:
             break
 
-    posteriors = [[None] * k_count for _ in every]
-    chi_post = np.pi * (np.mod(phis + 1.0, 2.0) - 1.0)  # cosines wrapped to [-1, 1)
+    coeff_mean = np.empty_like(coeffs)
+    kappa_post = np.empty_like(kappa)
+    fallback = np.empty(kappa.shape, dtype=bool)
     for k in range(k_count):
-        ks = np.full(every.size, k)
+        ks = np.full(b_count, k)
         resid_k = leave_one_out(every, ks)
         _, _, hess = _profiled_terms(resid_k, phis[:, k], chi[:, k], kappa[:, k], weights[:, k])
-        coeff_mean = coeff_update(resid_k, every, ks)
+        coeff_mean[:, k] = coeff_update(resid_k, every, ks)
         curv = np.diagonal(hess, axis1=1, axis2=2)
-        fallback = curv >= 0
-        kappa_post = np.where(fallback, kappa[:, k], -curv / np.pi**2)
-        for b in every:
-            posteriors[b][k] = AoaPosterior(
-                pair=VmPair(*(VonMises(c, kp) for c, kp in zip(chi_post[b, k], kappa_post[b]))),
-                coeff_mean=complex(coeff_mean[b]),
-                coeff_var=float(post_var[b, k]),
-                curvature_fallback=tuple(bool(f) for f in fallback[b]),
-            )
-    if diagnostics:
-        return posteriors, [np.array(trace) for trace in traces]
-    return posteriors
-
-
-def extrinsic_from_posterior(posteriors, priors):
-    """Per source, per axis: remove the prior's contribution from the
-    posterior, leaving the data-only (extrinsic) belief."""
-    if len(posteriors) != len(priors):
-        raise ValueError("posterior and prior lists must have equal length")
-    return [
-        VmPair(vm_extrinsic(post.pair.vx, pri.pair.vx), vm_extrinsic(post.pair.vy, pri.pair.vy))
-        for post, pri in zip(posteriors, priors)
-    ]
+        fallback[:, k] = curv >= 0
+        kappa_post[:, k] = np.where(fallback[:, k], kappa[:, k], -curv / np.pi**2)
+    # cosines wrapped to [-1, 1)
+    chi_post, kappa_post = vm_normalize(np.pi * (np.mod(phis + 1.0, 2.0) - 1.0), kappa_post)
+    return AoaPosteriors(
+        chi=chi_post,
+        kappa=kappa_post,
+        coeff_mean=coeff_mean,
+        coeff_var=post_var,
+        curvature_fallback=fallback,
+        traces=[np.array(trace) for trace in traces] if diagnostics else None,
+    )
 
 
 def match_components(reference: np.ndarray, candidates: np.ndarray) -> np.ndarray:

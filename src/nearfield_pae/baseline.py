@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aoa import SourcePrior, SubarraySnapshot, estimate_aoa_posteriors, match_components
+from .aoa import estimate_aoa_posteriors, match_components
 from .channel import ReceivedSignal, ScenarioConfig
-from .circular import GaOptions, VmPair, VonMises, newton_fits
+from .circular import GaOptions, newton_fits
 from .engine import PoseEstimate, procrustes_pose
 from .geometry import (
     UraSpec,
@@ -48,7 +48,6 @@ _NAN_COV = np.full((3, 3), np.nan)
 # flagged low_power: on pure noise the largest periodogram peak is the
 # maximum of about N unit-mean exponentials, of order ln N
 LOW_POWER_METRIC = 10.0
-_FLAT_PRIOR = SourcePrior(VmPair(VonMises(0.0, 0.0), VonMises(0.0, 0.0)), math.inf)
 
 
 @dataclass
@@ -78,19 +77,15 @@ def farfield_aoa(
     non-finite sample or a noise power that is not finite and positive.
     """
     y_mat = np.asarray(y_t).reshape(bs_spec.ny, bs_spec.nx).T
-    snapshot = SubarraySnapshot(y_mat, noise_power, k_sources)
-    out = []
-    for post in estimate_aoa_posteriors([snapshot], [[_FLAT_PRIOR] * k_sources])[0]:
-        metric = bs_spec.n_antennas * abs(post.coeff_mean) ** 2 / noise_power
-        out.append(
-            FarFieldAoaEstimate(
-                cosines=post.cosines,
-                coeff=post.coeff_mean,
-                peak_metric=float(metric),
-                low_power=bool(metric < LOW_POWER_METRIC),
-            )
-        )
-    return out
+    flat = np.zeros((1, k_sources, 2))
+    post = estimate_aoa_posteriors(
+        y_mat[None], np.array([noise_power]), flat, flat, np.full((1, k_sources), math.inf)
+    )
+    metrics = bs_spec.n_antennas * np.abs(post.coeff_mean[0]) ** 2 / noise_power
+    return [
+        FarFieldAoaEstimate(cosines, complex(coeff), float(metric), bool(metric < LOW_POWER_METRIC))
+        for cosines, coeff, metric in zip(post.cosines[0], post.coeff_mean[0], metrics)
+    ]
 
 
 # GaOptions' default grad_tol (1e-8) stops this fit short in range: the

@@ -36,6 +36,7 @@ from .geometry import (
     ms_antenna_global_position,
     ms_local_antenna_position,
     named_pattern,
+    rotation_basis,
     wavelength,
 )
 from .partition import PartitionPlan, validate_far_field
@@ -171,14 +172,13 @@ def activated_antenna_positions(scenario: ScenarioConfig, poses) -> np.ndarray:
 
 
 def all_ms_antenna_positions(scenario: ScenarioConfig, poses) -> np.ndarray:
-    """(K * N_M, 3) global positions of every MS antenna (for validation)."""
-    rows = []
-    for pose in poses:
-        for q in range(1, scenario.ms.nx + 1):
-            for s in range(1, scenario.ms.ny + 1):
-                local = ms_local_antenna_position(scenario.ms, q, s, scenario.lam)
-                rows.append(ms_antenna_global_position(pose, local))
-    return np.array(rows)
+    """(K * N_M, 3) global positions of every MS antenna (for validation):
+    antenna (q, s) of MS k in row k N_M + (q - 1) n_y + (s - 1)."""
+    spec = scenario.ms
+    qs = np.indices((spec.nx, spec.ny)).reshape(2, -1).T + 1
+    local = (qs - (np.array([spec.nx, spec.ny]) + 1) / 2.0) * scenario.lam / 2.0
+    rows = [pose.position + local @ rotation_basis(pose.attitude).matrix.T for pose in poses]
+    return np.array(rows).reshape(-1, 3)
 
 
 @dataclass

@@ -68,21 +68,9 @@ class VonMises:
     kappa: float
 
     def __post_init__(self):
-        if not np.isfinite(self.chi):
-            raise ValueError("mean direction must be finite")
-        if not np.isfinite(self.kappa) or self.kappa < 0:
-            raise ValueError(f"concentration must be finite and >= 0, got {self.kappa}")
-        chi = math.remainder(self.chi, 2.0 * math.pi)
-        if chi >= math.pi:  # remainder returns (-pi, pi]; wrap pi down
-            chi -= 2.0 * math.pi
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "kappa", min(float(self.kappa), KAPPA_MAX))
-
-    def log_pdf(self, theta):
-        return vm_log_pdf(self, theta)
-
-    def is_uniform(self, tol: float = 0.0) -> bool:
-        return self.kappa <= tol
+        chi, kappa = vm_normalize(self.chi, self.kappa)
+        object.__setattr__(self, "chi", float(chi))
+        object.__setattr__(self, "kappa", float(kappa))
 
 
 def vm_log_pdf(d: VonMises, theta):
@@ -100,10 +88,41 @@ def vm_multiply(a: VonMises, b: VonMises) -> VonMises:
 
 
 def vm_extrinsic(post: VonMises, pri: VonMises) -> VonMises:
-    """The belief left after removing a prior factor from a posterior:
-    phasor subtraction of the concentrations."""
-    z = post.kappa * np.exp(1j * post.chi) - pri.kappa * np.exp(1j * pri.chi)
-    return VonMises(float(np.angle(z)), float(abs(z)))
+    """The belief left after removing a prior factor from a posterior
+    (`vm_extrinsic_stack` on one pair)."""
+    return VonMises(*vm_extrinsic_stack(post.chi, post.kappa, pri.chi, pri.kappa))
+
+
+def vm_normalize(chi, kappa):
+    """`VonMises`'s normalisation over arrays: means wrapped to [-pi, pi)
+    and concentrations clamped to KAPPA_MAX. Raises ValueError where a
+    mean is not finite or a concentration is not finite and >= 0, so a
+    NaN cannot pass on as a belief."""
+    chi = np.asarray(chi, dtype=float)
+    kappa = np.asarray(kappa, dtype=float)
+    if not np.all(np.isfinite(chi)):
+        raise ValueError("mean direction must be finite")
+    bad = ~(np.isfinite(kappa) & (kappa >= 0))
+    if np.any(bad):
+        raise ValueError(f"concentration must be finite and >= 0, got {kappa[bad].flat[0]}")
+    # fmod and one shift by 2 pi are exact, so this is math.remainder's
+    # representative, with pi mapped to -pi
+    chi = np.fmod(chi, 2.0 * math.pi)
+    chi = np.where(chi >= math.pi, chi - 2.0 * math.pi, chi)
+    chi = np.where(chi < -math.pi, chi + 2.0 * math.pi, chi)
+    return chi, np.minimum(kappa, KAPPA_MAX)
+
+
+def vm_extrinsic_stack(post_chi, post_kappa, pri_chi, pri_kappa):
+    """Extrinsic beliefs of stacked von Mises posteriors and priors, all
+    of one shape: the phasor subtraction
+    kappa e^{j chi} = kappa_post e^{j chi_post} - kappa_pri e^{j chi_pri},
+    normalised by `vm_normalize`. Returns (chi, kappa); raises ValueError
+    on stacks of different shapes."""
+    if len({np.shape(a) for a in (post_chi, post_kappa, pri_chi, pri_kappa)}) > 1:
+        raise ValueError("posterior and prior stacks must have equal shapes")
+    z = post_kappa * np.exp(1j * np.asarray(post_chi)) - pri_kappa * np.exp(1j * np.asarray(pri_chi))
+    return vm_normalize(np.angle(z), np.abs(z))
 
 
 @dataclass(frozen=True)
@@ -113,12 +132,6 @@ class VmPair:
 
     vx: VonMises
     vy: VonMises
-
-    def as_arrays(self) -> tuple:
-        return (
-            np.array([self.vx.chi, self.vy.chi]),
-            np.array([self.vx.kappa, self.vy.kappa]),
-        )
 
 
 @dataclass
@@ -174,42 +187,47 @@ def information_product(mean_a, prec_a, mean_b, prec_b):
 
 
 def gaussian_to_vm(belief: GaussianBelief, subarray_ref: np.ndarray) -> VmPair:
-    """Project a 3-D position belief onto von Mises beliefs over the two
-    scaled direction cosines seen from a subarray reference point.
+    """Project one 3-D position belief onto von Mises beliefs over the two
+    scaled direction cosines seen from a subarray reference point
+    (`gaussian_to_vm_stack` on one belief)."""
+    chi, kappa = gaussian_to_vm_stack(belief.mean, belief.cov, np.reshape(subarray_ref, 3))
+    return VmPair(VonMises(chi[0], kappa[0]), VonMises(chi[1], kappa[1]))
+
+
+def gaussian_to_vm_stack(means, covs, refs):
+    """Project 3-D position beliefs -- means (..., 3), covariances
+    (..., 3, 3) -- onto von Mises beliefs (..., 2) over the two scaled
+    direction cosines seen from points ``refs`` (broadcast to (..., 3)).
 
     The mean direction is ``pi * phi_l`` at the belief mean; the
     concentration is ``d^2 / (pi^2 (1 - phi_l^2) v^T C v)`` where ``v`` is
     the unit vector perpendicular to the line of sight within the plane
     spanned by the axis ``e_l`` and the line of sight. Near-endfire
     geometry (axis parallel to the line of sight) degenerates to a point
-    mass at ``phi = +/-1`` and is clamped.
+    mass at ``phi = +/-1``, and a non-positive denominator to a point mass
+    at ``phi_l``; `vm_normalize` wraps and clamps the results. Raises
+    ValueError when a mean coincides with its reference point or a result
+    is not finite.
     """
-    if belief.dim != 3:
-        raise ValueError("position belief must be 3-dimensional")
-    ref = np.asarray(subarray_ref, dtype=float).reshape(3)
-    los = ref - belief.mean
-    d = np.linalg.norm(los)
-    if d < 1e-300:
+    means = np.asarray(means, dtype=float)
+    if means.shape[-1] != 3:
+        raise ValueError("position beliefs must be 3-dimensional")
+    los = np.asarray(refs, dtype=float) - means
+    d = np.linalg.norm(los, axis=-1)[..., None]
+    if np.any(d < 1e-300):
         raise ValueError("belief mean coincides with the subarray reference")
     u = los / d
-    comps = []
-    for axis in range(2):
-        e = np.zeros(3)
-        e[axis] = 1.0
-        phi_bar = -float(u[axis])  # cosine of (mean - ref) against the axis
-        w = e - (e @ u) * u
-        w_norm = np.linalg.norm(w)
-        one_minus = 1.0 - phi_bar * phi_bar
-        if w_norm < 1e-12 or one_minus < 1e-12:
-            comps.append(VonMises(math.copysign(math.pi, phi_bar), KAPPA_MAX))
-            continue
-        v = w / w_norm
-        denom = math.pi**2 * one_minus * float(v @ belief.cov @ v)
-        if denom <= 0:
-            comps.append(VonMises(math.pi * phi_bar, KAPPA_MAX))
-            continue
-        comps.append(VonMises(math.pi * phi_bar, min(d * d / denom, KAPPA_MAX)))
-    return VmPair(comps[0], comps[1])
+    phi_bar = -u[..., :2]  # cosines of (mean - ref) against the axes
+    w = np.eye(3)[:2] - u[..., :2, None] * u[..., None, :]  # (..., 2, 3)
+    w_norm = np.linalg.norm(w, axis=-1)
+    one_minus = 1.0 - phi_bar * phi_bar
+    endfire = (w_norm < 1e-12) | (one_minus < 1e-12)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = w / w_norm[..., None]
+        denom = math.pi**2 * one_minus * np.einsum("...li,...ij,...lj->...l", v, covs, v)
+        kappa = np.where(denom <= 0, KAPPA_MAX, np.minimum(d * d / denom, KAPPA_MAX))
+    chi = np.where(endfire, np.copysign(math.pi, phi_bar), math.pi * phi_bar)
+    return vm_normalize(chi, np.where(endfire, KAPPA_MAX, kappa))
 
 
 @dataclass(frozen=True)
@@ -248,10 +266,6 @@ class LaplaceFit:
     regularized: bool
     n_polish_steps: int = 0
     n_ga_steps: int = 0
-
-    @property
-    def belief(self) -> GaussianBelief:
-        return GaussianBelief(self.mean, self.cov, self.precision)
 
     def problem(self, i: int) -> "LaplaceFit":
         """The fit of problem ``i`` of a stacked result."""

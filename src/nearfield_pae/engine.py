@@ -6,7 +6,8 @@ One iteration alternates two stages over a partitioned BS array:
 1. *Angle stage*: for every (subarray, slot), convert the current Gaussian
    antenna-position messages into von Mises priors over the direction
    cosines, run the multi-source line-spectral estimator on the snapshot,
-   and keep the extrinsic (data-only) part of each posterior.
+   and keep the extrinsic (data-only) part of each posterior; all of it
+   on arrays, one stacked routine call per subarray shape.
 2. *Fusion stage*: for every (MS, slot), fit a Gaussian to the composite
    of all subarrays' extrinsic cosine beliefs (Laplace), then solve a
    leave-one-slot-out MAP for the MS pose, linearize the rigid-body
@@ -32,22 +33,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .aoa import (
-    AoaOptions,
-    SourcePrior,
-    SubarraySnapshot,
-    estimate_aoa_posteriors,
-    extrinsic_from_posterior,
-    match_components,
-)
-from .channel import ReceivedSignal, ScenarioConfig, extract_subarray
+from .aoa import AoaOptions, estimate_aoa_posteriors, match_components
+from .channel import ReceivedSignal, ScenarioConfig
 from .circular import (
     GaOptions,
     GaussianBelief,
-    gaussian_to_vm,
+    gaussian_to_vm_stack,
     information_product,
     laplace_fit,
     newton_fits,
+    vm_extrinsic_stack,
 )
 from .geometry import (
     EulerAngles,
@@ -73,7 +68,10 @@ class EstimatorConfig:
     ``iterations = None`` resolves to one pass for a single MS and five
     for multiple MSs. ``coeff_prior_var = None`` resolves to the nominal
     link budget at ``nominal_range``. Position and attitude priors default
-    to non-informative values.
+    to non-informative values. Raises ValueError at construction on fewer
+    than one iteration, a ``position_prior_std`` that is not positive, an
+    ``attitude_prior_kappa`` that is not finite and >= 0, or a
+    ``nominal_range`` that is not finite and positive.
     """
 
     iterations: int | None = None
@@ -86,6 +84,18 @@ class EstimatorConfig:
     # damped Newton on analytic Hessians for every Laplace fit
     ga: GaOptions = GaOptions()
     aoa: AoaOptions = AoaOptions()
+
+    def __post_init__(self):
+        if self.iterations is not None and not self.iterations >= 1:
+            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        if not self.position_prior_std > 0:
+            raise ValueError(f"position_prior_std must be positive, got {self.position_prior_std}")
+        kappa = np.asarray(self.attitude_prior_kappa, dtype=float)
+        if not np.all(np.isfinite(kappa) & (kappa >= 0)):
+            raise ValueError(f"attitude_prior_kappa must be finite and >= 0, got {kappa}")
+        r_nom = self.nominal_range
+        if r_nom is not None and not (math.isfinite(r_nom) and r_nom > 0):
+            raise ValueError(f"nominal_range must be finite and positive, got {r_nom}")
 
     def resolve(self, scenario: ScenarioConfig) -> "EstimatorConfig":
         """Fill in scenario-dependent defaults."""
@@ -568,40 +578,27 @@ def feedback_messages(state: MessageState, plan: PartitionPlan, cfg: EstimatorCo
 # angle stage
 
 
-def _relabel_first_iteration(posts_by_mt, plan: PartitionPlan, k_count: int):
-    """Associate per-(subarray, slot) posterior components with MS labels.
+def _relabel_first_iteration(chi: np.ndarray, coeff_abs: np.ndarray, plan: PartitionPlan):
+    """Permutations (M, T, K) giving MS label k to component perm[m, t, k]
+    of cell (m, t), from posterior means ``chi`` (M, T, K, 2) and amplitude
+    magnitudes ``coeff_abs`` (M, T, K); for priors without information.
 
-    Applies only when priors carry no information: the subarray whose
-    reference antenna is nearest the array center anchors the labels at
-    slot 1 (descending amplitude magnitude); its other slots are matched
-    to slot 1, and every other subarray is matched to the anchor's labels
-    for the same slot, by optimal assignment on circular distance.
+    The subarray whose reference antenna is nearest the array center
+    anchors the labels at slot 1 (descending amplitude magnitude); its
+    other slots are matched to slot 1, and every other subarray is matched
+    to the anchor's labels for the same slot, by optimal assignment on
+    circular distance.
     """
-    refs = plan.reference_positions()
-    anchor = int(np.argmin(np.linalg.norm(refs, axis=1)))
-    t_count = len(posts_by_mt[anchor])
-
-    def chi_matrix(posts):
-        return np.array([p.pair.as_arrays()[0] for p in posts])
-
-    labeled = [[None] * t_count for _ in range(len(posts_by_mt))]
-    order = sorted(
-        range(k_count),
-        key=lambda kk: -abs(posts_by_mt[anchor][0][kk].coeff_mean),
-    )
-    labeled[anchor][0] = [posts_by_mt[anchor][0][kk] for kk in order]
+    m_count, t_count, _ = coeff_abs.shape
+    anchor = int(np.argmin(np.linalg.norm(plan.reference_positions(), axis=1)))
+    perm = np.empty(coeff_abs.shape, dtype=int)
+    perm[anchor, 0] = np.argsort(-coeff_abs[anchor, 0], kind="stable")
     for t in range(1, t_count):
-        ref_chi = chi_matrix(labeled[anchor][0])
-        perm = match_components(ref_chi, chi_matrix(posts_by_mt[anchor][t]))
-        labeled[anchor][t] = [posts_by_mt[anchor][t][j] for j in perm]
-    for m in range(len(posts_by_mt)):
-        if m == anchor:
-            continue
-        for t in range(t_count):
-            ref_chi = chi_matrix(labeled[anchor][t])
-            perm = match_components(ref_chi, chi_matrix(posts_by_mt[m][t]))
-            labeled[m][t] = [posts_by_mt[m][t][j] for j in perm]
-    return labeled
+        perm[anchor, t] = match_components(chi[anchor, 0, perm[anchor, 0]], chi[anchor, t])
+    for m, t in np.ndindex(m_count, t_count):
+        if m != anchor:
+            perm[m, t] = match_components(chi[anchor, t, perm[anchor, t]], chi[m, t])
+    return perm
 
 
 def aoa_module_pass(
@@ -614,39 +611,45 @@ def aoa_module_pass(
     """Run the line-spectral stage on every (subarray, slot) and store the
     extrinsic cosine beliefs; returns (MS, flag) pairs. The snapshots of
     all subarrays of one shape, in every slot, go to one stacked
-    `estimate_aoa_posteriors` call."""
-    m_count, k_count, t_count = state.shape
-    refs, noise = plan.reference_positions(), scenario.noise_power_w
-
-    def prior(m, k, t):
-        belief = GaussianBelief(state.prior_mean[m, k, t], state.prior_cov[m, k, t])
-        return SourcePrior(gaussian_to_vm(belief, refs[m]), cfg.coeff_prior_var)
-
-    priors_by_mt = [
-        [[prior(m, k, t) for k in range(k_count)] for t in range(t_count)] for m in range(m_count)
-    ]
-    posts_by_mt = [[None] * t_count for _ in range(m_count)]
+    `estimate_aoa_posteriors` call; priors, posteriors and extrinsic
+    beliefs stay arrays indexed (subarray, slot, MS)."""
+    k_count = state.shape[1]
+    refs = plan.reference_positions()
+    # (M, T, K, 2): the von Mises prior of every (subarray, slot, MS)
+    prior_chi, prior_kappa = (
+        a.transpose(0, 2, 1, 3)
+        for a in gaussian_to_vm_stack(state.prior_mean, state.prior_cov, refs[:, None, None])
+    )
+    chi, kappa, fallback = (np.empty(prior_chi.shape, dtype=d) for d in (float, float, bool))
+    coeff = np.empty(prior_chi.shape[:3], dtype=complex)
     for group in subarray_groups(plan):
-        cells = [(m, t) for m in group.members for t in range(t_count)]
-        snapshots = [
-            SubarraySnapshot(extract_subarray(signal, plan, m + 1, t), noise, k_count)
-            for m, t in cells
-        ]
-        posts = estimate_aoa_posteriors(snapshots, [priors_by_mt[m][t] for m, t in cells], cfg.aoa)
-        for (m, t), post in zip(cells, posts):
-            posts_by_mt[m][t] = post
+        sub = plan.subarrays[group.members[0]]
+        # signal rows (G, N, T) in raveled (i, j) order -> (G T, nx, ny) in (m, t) order
+        samples = signal.samples[group.rows].transpose(0, 2, 1).reshape(-1, sub.nx, sub.ny)
+        cells = (len(samples), k_count)
+        post = estimate_aoa_posteriors(
+            samples,
+            np.full(cells[0], scenario.noise_power_w),
+            prior_chi[group.members].reshape(cells + (2,)),
+            prior_kappa[group.members].reshape(cells + (2,)),
+            np.full(cells, cfg.coeff_prior_var),
+            cfg.aoa,
+        )
+        for out, got in (
+            (chi, post.chi), (kappa, post.kappa), (coeff, post.coeff_mean), (fallback, post.curvature_fallback)
+        ):
+            out[group.members] = got.reshape((-1,) + out.shape[1:])
     if state.iteration == 0 and k_count > 1:
-        posts_by_mt = _relabel_first_iteration(posts_by_mt, plan, k_count)
-    flags = []
-    for m in range(m_count):
-        for t in range(t_count):
-            exts = extrinsic_from_posterior(posts_by_mt[m][t], priors_by_mt[m][t])
-            for k in range(k_count):
-                state.ext_chi[m, k, t], state.ext_kappa[m, k, t] = exts[k].as_arrays()
-                state.coeff_mag[m, k, t] = abs(posts_by_mt[m][t][k].coeff_mean)
-                if any(posts_by_mt[m][t][k].curvature_fallback):
-                    flags.append((k, f"aoa_curvature_m{m}k{k}t{t}"))
-    return flags
+        perm = _relabel_first_iteration(chi, np.abs(coeff), plan)
+        chi, kappa, fallback = (np.take_along_axis(a, perm[..., None], 2) for a in (chi, kappa, fallback))
+        coeff = np.take_along_axis(coeff, perm, 2)
+    ext_chi, ext_kappa = vm_extrinsic_stack(chi, kappa, prior_chi, prior_kappa)
+    state.ext_chi[:] = ext_chi.transpose(0, 2, 1, 3)
+    state.ext_kappa[:] = ext_kappa.transpose(0, 2, 1, 3)
+    state.coeff_mag[:] = np.abs(coeff).transpose(0, 2, 1)
+    return [
+        (k, f"aoa_curvature_m{m}k{k}t{t}") for m, t, k in np.argwhere(fallback.any(axis=-1))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """Test oracles: reference computations the program itself does not run.
 
-Finite differences check the analytic derivatives, and the dense-embedding
-mean and Fisher matrix check the block-wise bound in `mcrb`.
+Finite differences check the analytic derivatives, the dense-embedding
+mean and Fisher matrix check the block-wise bound in `mcrb`, and scalar
+loops check the stacked von Mises kernels in `circular`.
 """
+
+import math
 
 import numpy as np
 
 from nearfield_pae.channel import ScenarioConfig
 from nearfield_pae.circular import (
+    KAPPA_MAX,
     GaussianBelief,
     _capped_eigenpairs,
     _from_eigenpairs,
@@ -145,3 +149,44 @@ def reduced_fisher_analytic(
                         pose_col = 3 * k_count + 3 * k + (a - 3)
                     jac[rows, pose_col] += c[col] * dsteer
     return (2.0 / noise_power_w) * np.real(np.conj(jac.T) @ jac)
+
+
+def vm_normalize_scalar(chi: float, kappa: float) -> tuple:
+    """One von Mises belief's mean wrapped to [-pi, pi) by
+    math.remainder and its concentration clamped to KAPPA_MAX."""
+    if not math.isfinite(chi):
+        raise ValueError("mean direction must be finite")
+    if not (math.isfinite(kappa) and kappa >= 0):
+        raise ValueError("concentration must be finite and >= 0")
+    chi = math.remainder(chi, 2.0 * math.pi)
+    if chi >= math.pi:  # remainder returns (-pi, pi]; wrap pi down
+        chi -= 2.0 * math.pi
+    return chi, min(float(kappa), KAPPA_MAX)
+
+
+def gaussian_to_vm_loop(mean: np.ndarray, cov: np.ndarray, ref: np.ndarray) -> tuple:
+    """One position belief's von Mises pair seen from ``ref``, axis by
+    axis: means and concentrations (2,)."""
+    los = np.asarray(ref, dtype=float) - mean
+    d = np.linalg.norm(los)
+    if d < 1e-300:
+        raise ValueError("belief mean coincides with the subarray reference")
+    u = los / d
+    comps = []
+    for axis in range(2):
+        e = np.zeros(3)
+        e[axis] = 1.0
+        phi_bar = -float(u[axis])  # cosine of (mean - ref) against the axis
+        w = e - (e @ u) * u
+        w_norm = np.linalg.norm(w)
+        one_minus = 1.0 - phi_bar * phi_bar
+        if w_norm < 1e-12 or one_minus < 1e-12:
+            comps.append(vm_normalize_scalar(math.copysign(math.pi, phi_bar), KAPPA_MAX))
+            continue
+        v = w / w_norm
+        denom = math.pi**2 * one_minus * float(v @ cov @ v)
+        if denom <= 0:
+            comps.append(vm_normalize_scalar(math.pi * phi_bar, KAPPA_MAX))
+            continue
+        comps.append(vm_normalize_scalar(math.pi * phi_bar, min(d * d / denom, KAPPA_MAX)))
+    return np.array([c[0] for c in comps]), np.array([c[1] for c in comps])

@@ -1,35 +1,38 @@
 import numpy as np
 import pytest
 
-from nearfield_pae.aoa import (
-    SourcePrior,
-    SubarraySnapshot,
-    estimate_aoa_posteriors,
-    extrinsic_from_posterior,
-    match_components,
-)
+from nearfield_pae.aoa import estimate_aoa_posteriors, match_components
 from nearfield_pae.channel import subarray_steering
-from nearfield_pae.circular import VmPair, VonMises
+from nearfield_pae.circular import vm_extrinsic_stack
 
 SIGW2 = 1e-10
 
 
 def uniform_prior(coeff_var=1e-8):
-    return SourcePrior(
-        VmPair(VonMises(0.0, 1e-7), VonMises(0.0, 1e-7)), coeff_var
-    )
+    """(means, concentrations, amplitude variance) of one source."""
+    return (0.0, 0.0), (1e-7, 1e-7), coeff_var
 
 
 def informative_prior(phi, kappa, coeff_var=1e-8):
-    return SourcePrior(
-        VmPair(
-            VonMises(np.pi * phi[0], kappa), VonMises(np.pi * phi[1], kappa)
-        ),
-        coeff_var,
+    return (np.pi * phi[0], np.pi * phi[1]), (kappa, kappa), coeff_var
+
+
+def solve(snapshot, priors, **kwargs):
+    """`estimate_aoa_posteriors` on a stack of one snapshot, with one
+    prior per source."""
+    y, noise_power = snapshot
+    k = len(priors)
+    return estimate_aoa_posteriors(
+        np.asarray(y)[None],
+        [noise_power],
+        np.reshape([p[0] for p in priors], (1, k, 2)),
+        np.reshape([p[1] for p in priors], (1, k, 2)),
+        np.reshape([p[2] for p in priors], (1, k)),
+        **kwargs,
     )
 
 
-def make_snapshot(nx, ny, sources, noise_power=SIGW2, rng=None, k=None):
+def make_snapshot(nx, ny, sources, noise_power=SIGW2, rng=None):
     """sources: list of (coeff, (phi_x, phi_y))."""
     y = np.zeros((nx, ny), dtype=np.complex128)
     for coeff, phi in sources:
@@ -38,25 +41,25 @@ def make_snapshot(nx, ny, sources, noise_power=SIGW2, rng=None, k=None):
         y += np.sqrt(noise_power / 2) * (
             rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
         )
-    return SubarraySnapshot(y, noise_power, k or len(sources))
+    return y, noise_power
 
 
 class TestSingleSource:
     def test_noiseless_recovery(self):
         phi = (0.31, -0.52)
         snap = make_snapshot(8, 8, [(1e-4 + 2e-4j, phi)])
-        post = estimate_aoa_posteriors([snap], [[uniform_prior()]])[0][0]
-        assert np.allclose(post.cosines, phi, atol=1e-6)
-        assert post.coeff_mean == pytest.approx(1e-4 + 2e-4j, rel=1e-3)
-        assert post.pair.vx.kappa > 1e4
+        post = solve(snap, [uniform_prior()])
+        assert np.allclose(post.cosines[0, 0], phi, atol=1e-6)
+        assert post.coeff_mean[0, 0] == pytest.approx(1e-4 + 2e-4j, rel=1e-3)
+        assert post.kappa[0, 0, 0] > 1e4
 
     def test_identifiability_on_small_subarrays(self):
         rng = np.random.default_rng(0)
         for n in (4, 5, 8):
             phi = tuple(rng.uniform(-0.8, 0.8, 2))
             snap = make_snapshot(n, n, [(3e-4, phi)])
-            post = estimate_aoa_posteriors([snap], [[uniform_prior()]])[0][0]
-            assert np.allclose(post.cosines, phi, atol=1e-6)
+            post = solve(snap, [uniform_prior()])
+            assert np.allclose(post.cosines[0, 0], phi, atol=1e-6)
 
     def test_zero_snapshot_returns_prior(self):
         rng = np.random.default_rng(1)
@@ -64,19 +67,18 @@ class TestSingleSource:
         noise = np.sqrt(SIGW2 / 2) * (
             rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         )
-        snap = SubarraySnapshot(noise, SIGW2, 1)
-        post = estimate_aoa_posteriors([snap], [[prior]])[0][0]
+        post = solve((noise, SIGW2), [prior])
         # belief stays near the prior and the coefficient is tiny
-        assert abs(post.pair.vx.chi - prior.pair.vx.chi) < 0.2
-        assert abs(post.coeff_mean) < 10 * np.sqrt(SIGW2)
+        assert abs(post.chi[0, 0, 0] - prior[0][0]) < 0.2
+        assert abs(post.coeff_mean[0, 0]) < 10 * np.sqrt(SIGW2)
 
     def test_posterior_concentration_grows_with_snr(self):
         phi = (0.1, 0.3)
         kappas = []
         for amp in (1e-5, 1e-4, 1e-3):
             snap = make_snapshot(8, 8, [(amp, phi)], rng=np.random.default_rng(2))
-            post = estimate_aoa_posteriors([snap], [[uniform_prior(coeff_var=1.0)]])[0][0]
-            kappas.append(post.pair.vx.kappa)
+            post = solve(snap, [uniform_prior(coeff_var=1.0)])
+            kappas.append(post.kappa[0, 0, 0])
         assert kappas[0] < kappas[1] < kappas[2]
 
 
@@ -95,10 +97,8 @@ class TestTwoSources:
             c1 = amp * np.exp(2j * np.pi * rng.random())
             c2 = amp * np.exp(2j * np.pi * rng.random())
             snap = make_snapshot(nx, nx, [(c1, phi1), (c2, phi2)], rng=rng)
-            posts = estimate_aoa_posteriors(
-                [snap], [[uniform_prior(amp**2), uniform_prior(amp**2)]]
-            )[0]
-            est = sorted([tuple(p.cosines) for p in posts])
+            posts = solve(snap, [uniform_prior(amp**2), uniform_prior(amp**2)])
+            est = sorted([tuple(c) for c in posts.cosines[0]])
             true = sorted([phi1, phi2])
             errors.append(np.array(est) - np.array(true))
         rmse = float(np.sqrt(np.mean(np.square(errors))))
@@ -109,21 +109,21 @@ class TestTwoSources:
         snap = make_snapshot(8, 8, [(2e-4, phi1), (1e-4, phi2)])
         p1 = informative_prior(phi1, 50.0)
         p2 = informative_prior(phi2, 50.0)
-        a = estimate_aoa_posteriors([snap], [[p1, p2]])[0]
-        b = estimate_aoa_posteriors([snap], [[p2, p1]])[0]
-        assert np.allclose(a[0].cosines, b[1].cosines, atol=1e-9)
-        assert np.allclose(a[1].cosines, b[0].cosines, atol=1e-9)
+        a = solve(snap, [p1, p2]).cosines[0]
+        b = solve(snap, [p2, p1]).cosines[0]
+        assert np.allclose(a[0], b[1], atol=1e-9)
+        assert np.allclose(a[1], b[0], atol=1e-9)
 
     def test_objective_monotone_over_sweeps(self):
         rng = np.random.default_rng(4)
         snap = make_snapshot(
             8, 8, [(2e-4, (0.3, 0.1)), (1.5e-4, (-0.2, -0.4))], rng=rng
         )
-        _, (trace,) = estimate_aoa_posteriors(
-            [snap],
-            [[uniform_prior(), uniform_prior()]],
+        (trace,) = solve(
+            snap,
+            [uniform_prior(), uniform_prior()],
             diagnostics=True,
-        )
+        ).traces
         diffs = np.diff(trace)
         assert np.all(diffs >= -1e-9 * np.maximum(1.0, np.abs(trace[:-1])))
 
@@ -136,29 +136,27 @@ class TestInvariances:
         amp = 3e-4
         y = amp * subarray_steering(8, 8, *phi) + np.sqrt(SIGW2 / 2) * noise
         scale = 37.0
-        snap_a = SubarraySnapshot(y, SIGW2, 1)
-        snap_b = SubarraySnapshot(scale * y, scale**2 * SIGW2, 1)
-        post_a = estimate_aoa_posteriors([snap_a], [[uniform_prior(amp**2)]])[0][0]
-        post_b = estimate_aoa_posteriors(
-            [snap_b], [[uniform_prior(scale**2 * amp**2)]]
-        )[0][0]
+        snap_a = (y, SIGW2)
+        snap_b = (scale * y, scale**2 * SIGW2)
+        post_a = solve(snap_a, [uniform_prior(amp**2)])
+        post_b = solve(snap_b, [uniform_prior(scale**2 * amp**2)])
         assert np.allclose(post_a.cosines, post_b.cosines, atol=1e-10)
-        assert post_a.pair.vx.kappa == pytest.approx(
-            post_b.pair.vx.kappa, rel=1e-8
+        assert post_a.kappa[0, 0, 0] == pytest.approx(
+            post_b.kappa[0, 0, 0], rel=1e-8
         )
-        assert post_b.coeff_mean == pytest.approx(scale * post_a.coeff_mean, rel=1e-8)
+        assert post_b.coeff_mean[0, 0] == pytest.approx(scale * post_a.coeff_mean[0, 0], rel=1e-8)
 
     def test_curvature_fallback_flag(self):
         # a pure-noise snapshot with a concentrated prior can yield
         # non-negative curvature on some axis; the flag must then be set
         # and the prior concentration reused -- construct the degenerate
         # case directly via a flat (all-ones) snapshot and huge prior
-        snap = SubarraySnapshot(np.zeros((4, 4), dtype=complex) + 1e-30, 1.0, 1)
+        snap = (np.zeros((4, 4), dtype=complex) + 1e-30, 1.0)
         prior = informative_prior((0.0, 0.0), 10.0, coeff_var=1e-30)
-        post = estimate_aoa_posteriors([snap], [[prior]])[0][0]
+        post = solve(snap, [prior])
         # with no data information the posterior concentration equals the
         # prior's whether or not the fallback fired
-        assert post.pair.vx.kappa == pytest.approx(10.0, rel=1e-3)
+        assert post.kappa[0, 0, 0] == pytest.approx(10.0, rel=1e-3)
 
 
 class TestExtrinsic:
@@ -166,24 +164,24 @@ class TestExtrinsic:
         phi = (0.4, 0.1)
         snap = make_snapshot(8, 8, [(2e-4, phi)])
         priors = [uniform_prior()]
-        posts = estimate_aoa_posteriors([snap], [priors])[0]
-        ext = extrinsic_from_posterior(posts, priors)[0]
-        assert ext.vx.kappa == pytest.approx(posts[0].pair.vx.kappa, rel=1e-5)
-        assert ext.vx.chi == pytest.approx(posts[0].pair.vx.chi, abs=1e-6)
+        posts = solve(snap, priors)
+        ext_chi, ext_kappa = vm_extrinsic_stack(
+            posts.chi, posts.kappa, np.reshape(priors[0][0], (1, 1, 2)), np.reshape(priors[0][1], (1, 1, 2))
+        )
+        assert ext_kappa[0, 0, 0] == pytest.approx(posts.kappa[0, 0, 0], rel=1e-5)
+        assert ext_chi[0, 0, 0] == pytest.approx(posts.chi[0, 0, 0], abs=1e-6)
 
     def test_posterior_equals_prior_gives_zero(self):
-        pair = VmPair(VonMises(0.3, 7.0), VonMises(-0.2, 5.0))
-        posts = [
-            type("P", (), {"pair": pair})(),
-        ]
-        priors = [SourcePrior(pair, 1e-8)]
-        ext = extrinsic_from_posterior(posts, priors)[0]
-        assert ext.vx.kappa == pytest.approx(0.0, abs=1e-12)
-        assert ext.vy.kappa == pytest.approx(0.0, abs=1e-12)
+        chi, kappa = np.array([[0.3, -0.2]]), np.array([[7.0, 5.0]])
+        _, ext_kappa = vm_extrinsic_stack(chi, kappa, chi, kappa)
+        assert ext_kappa[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert ext_kappa[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_length_mismatch_rejected(self):
+        empty = np.zeros((0, 2))
+        chi, kappa = np.array([uniform_prior()[0]]), np.array([uniform_prior()[1]])
         with pytest.raises(ValueError):
-            extrinsic_from_posterior([], [uniform_prior()])
+            vm_extrinsic_stack(empty, empty, chi, kappa)
 
 
 class TestMatching:
@@ -210,11 +208,14 @@ class TestMatching:
 
 def test_snapshot_validation():
     with pytest.raises(ValueError):
-        SubarraySnapshot(np.zeros(4, dtype=complex), 1.0, 1)
+        solve((np.zeros(4, dtype=complex), 1.0), [uniform_prior()])
     with pytest.raises(ValueError):
-        SubarraySnapshot(np.zeros((2, 2), dtype=complex), 0.0, 1)
+        solve((np.zeros((2, 2), dtype=complex), 0.0), [uniform_prior()])
     with pytest.raises(ValueError):
-        SubarraySnapshot(np.zeros((2, 2), dtype=complex), 1.0, 0)
-    snap = SubarraySnapshot(np.zeros((2, 2), dtype=complex), 1.0, 2)
+        solve((np.zeros((2, 2), dtype=complex), 1.0), [])
+    # one prior, but amplitude variances for two sources
+    means, kappas, _ = uniform_prior()
     with pytest.raises(ValueError, match="priors"):
-        estimate_aoa_posteriors([snap], [[uniform_prior()]])
+        estimate_aoa_posteriors(
+            np.zeros((1, 2, 2), dtype=complex), [1.0], [[means]], [[kappas]], [[1e-8, 1e-8]]
+        )

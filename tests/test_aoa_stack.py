@@ -8,20 +8,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nearfield_pae import engine
-from nearfield_pae.aoa import (
-    SourcePrior,
-    SubarraySnapshot,
-    _profiled_terms,
-    _projections,
-    estimate_aoa_posteriors,
-)
+from nearfield_pae.aoa import _profiled_terms, _projections, estimate_aoa_posteriors
 from nearfield_pae.channel import (
     desk_scale_scenario,
     draw_poses,
     simulate_received,
     subarray_steering,
 )
-from nearfield_pae.circular import VmPair, VonMises, vm_extrinsic, vm_multiply
+from nearfield_pae.circular import VonMises, vm_extrinsic, vm_multiply
 from nearfield_pae.engine import EstimatorConfig
 from nearfield_pae.partition import PartitionPlan, make_descriptor, uniform_partition
 from oracles import finite_diff_gradient, finite_diff_hessian
@@ -30,9 +24,18 @@ SIGW2 = 1e-10
 
 
 def prior(phi, kappa, coeff_var=1e-8):
-    return SourcePrior(
-        VmPair(VonMises(np.pi * phi[0], kappa[0]), VonMises(np.pi * phi[1], kappa[1])),
-        coeff_var,
+    """(means, concentrations, amplitude variance) of one source."""
+    return (np.pi * phi[0], np.pi * phi[1]), kappa, coeff_var
+
+
+def solve(snapshots, priors, **kwargs):
+    """`estimate_aoa_posteriors` on stacked snapshots (y, noise power),
+    with one prior list per snapshot."""
+    return estimate_aoa_posteriors(
+        [y for y, _ in snapshots],
+        [noise for _, noise in snapshots],
+        *(np.array([[p[i] for p in pri] for pri in priors]) for i in range(3)),
+        **kwargs,
     )
 
 
@@ -42,7 +45,7 @@ def two_source_snapshot(rng, sources, noise=True):
         y = y + np.sqrt(SIGW2 / 2) * (
             rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         )
-    return SubarraySnapshot(y, SIGW2, 2)
+    return y, SIGW2
 
 
 class TestStackedSolve:
@@ -58,7 +61,7 @@ class TestStackedSolve:
             two_source_snapshot(rng, [(1.5e-4, (0.1, 0.1)), (1.5e-4, (0.3, 0.25))]),
             two_source_snapshot(rng, [(2e-4, a), (1.5e-4, b)], noise=False),
             # no data and flat y priors: zero curvature on the y axes
-            SubarraySnapshot(np.zeros((8, 8), dtype=complex), SIGW2, 2),
+            (np.zeros((8, 8), dtype=complex), SIGW2),
         ]
         priors = [
             [prior(a, (50, 50)), prior(b, (5, 5))],
@@ -71,25 +74,25 @@ class TestStackedSolve:
 
     def test_stack_equals_single_solves(self):
         snapshots, priors = self.mixed_stack()
-        stacked, traces = estimate_aoa_posteriors(snapshots, priors, diagnostics=True)
-        assert len({len(trace) for trace in traces}) > 1
-        assert any(any(p.curvature_fallback) for posts in stacked for p in posts)
-        for snap, pri, posts, trace in zip(snapshots, priors, stacked, traces):
-            (alone,), (alone_trace,) = estimate_aoa_posteriors([snap], [pri], diagnostics=True)
+        stacked = solve(snapshots, priors, diagnostics=True)
+        assert len({len(trace) for trace in stacked.traces}) > 1
+        assert np.any(stacked.curvature_fallback)
+        for b, (snap, pri, trace) in enumerate(zip(snapshots, priors, stacked.traces)):
+            alone = solve([snap], [pri], diagnostics=True)
+            (alone_trace,) = alone.traces
             assert len(trace) == len(alone_trace)
-            for got, want in zip(posts, alone):
-                assert np.allclose(got.cosines, want.cosines, rtol=0.0, atol=1e-12)
-                assert got.curvature_fallback == want.curvature_fallback
+            assert np.allclose(stacked.cosines[b], alone.cosines[0], rtol=0.0, atol=1e-12)
+            assert np.array_equal(stacked.curvature_fallback[b], alone.curvature_fallback[0])
 
     def test_mismatched_stack_rejected(self):
         snapshots, priors = self.mixed_stack()
-        small = SubarraySnapshot(np.zeros((4, 4), dtype=complex), SIGW2, 2)
+        small = (np.zeros((4, 4), dtype=complex), SIGW2)
         with pytest.raises(ValueError, match="shape"):
-            estimate_aoa_posteriors(snapshots[:1] + [small], priors[:2])
+            solve(snapshots[:1] + [small], priors[:2])
         with pytest.raises(ValueError, match="prior lists"):
-            estimate_aoa_posteriors(snapshots[:2], priors[:1])
+            solve(snapshots[:2], priors[:1])
         with pytest.raises(ValueError, match="snapshot"):
-            estimate_aoa_posteriors([], [])
+            solve([], [])
 
 
 class TestEngineCalls:
@@ -101,9 +104,9 @@ class TestEngineCalls:
         sizes = []
         original = engine.estimate_aoa_posteriors
 
-        def counting(snapshots, priors, *args, **kwargs):
-            sizes.append((snapshots[0].samples.shape, len(snapshots)))
-            return original(snapshots, priors, *args, **kwargs)
+        def counting(samples, *args, **kwargs):
+            sizes.append((samples.shape[1:], len(samples)))
+            return original(samples, *args, **kwargs)
 
         monkeypatch.setattr(engine, "estimate_aoa_posteriors", counting)
         rng = np.random.default_rng(0)

@@ -3,6 +3,7 @@ import pytest
 
 from nearfield_pae.channel import (
     ReceivedSignal,
+    all_ms_antenna_positions,
     dbm_to_watt,
     desk_scale_scenario,
     draw_poses,
@@ -152,6 +153,23 @@ class TestSimulateReceived:
             diffuse_powers.append(np.mean(np.abs(y - los) ** 2) / np.mean(np.abs(los) ** 2))
         ratio = np.mean(diffuse_powers)
         assert ratio == pytest.approx(1.0 / kfac, rel=0.1)
+
+
+def test_all_ms_antenna_positions_match_per_antenna_loop():
+    sc = desk_scale_scenario(num_ms=2, distance_range=(1.5, 2.5))
+    poses = draw_poses(sc, np.random.default_rng(3))
+    want = np.array(
+        [
+            ms_antenna_global_position(pose, ms_local_antenna_position(sc.ms, q, s, sc.lam))
+            for pose in poses
+            for q in range(1, sc.ms.nx + 1)
+            for s in range(1, sc.ms.ny + 1)
+        ]
+    )
+    got = all_ms_antenna_positions(sc, poses)
+    # one matrix product per pose instead of one per antenna: rounding only
+    assert got.shape == want.shape == (2 * sc.ms.n_antennas, 3)
+    assert np.allclose(got, want, rtol=0.0, atol=4 * np.finfo(float).eps * np.abs(want).max())
 
 
 class TestSwffModel:

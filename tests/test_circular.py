@@ -1,7 +1,9 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 from scipy.special import i0e, i1e
 
@@ -11,14 +13,23 @@ from nearfield_pae.circular import (
     GaussianBelief,
     VonMises,
     gaussian_to_vm,
+    gaussian_to_vm_stack,
     laplace_fit,
     laplace_moments,
     log_i0,
     vm_extrinsic,
+    vm_extrinsic_stack,
     vm_log_pdf,
     vm_multiply,
+    vm_normalize,
 )
-from oracles import finite_diff_gradient, gaussian_product, regularize_hessian
+from oracles import (
+    finite_diff_gradient,
+    gaussian_product,
+    gaussian_to_vm_loop,
+    regularize_hessian,
+    vm_normalize_scalar,
+)
 
 
 class TestLogI0:
@@ -226,6 +237,80 @@ class TestGaussianToVm:
     def test_dimension_checked(self):
         with pytest.raises(ValueError):
             gaussian_to_vm(GaussianBelief(np.zeros(2), np.eye(2)), np.zeros(3))
+
+
+class TestStackedKernels:
+    """The array kernels behind the angle stage against scalar loops."""
+
+    @staticmethod
+    def beliefs(seed):
+        """Eight beliefs seen from their reference points: five generic,
+        one endfire on each axis, and one whose covariance makes every
+        denominator <= 0."""
+        rng = np.random.default_rng(seed)
+        refs = np.zeros((8, 3))
+        refs[:, :2] = rng.uniform(-0.2, 0.2, (8, 2))
+        means = refs + rng.uniform(-3.0, 3.0, (8, 3))
+        means[:, 2] = np.abs(means[:, 2]) + 0.5
+        means[5] = refs[5] + [rng.uniform(0.5, 4.0), 0.0, 0.0]
+        means[6] = refs[6] - [0.0, rng.uniform(0.5, 4.0), 0.0]
+        a = rng.normal(0.0, rng.uniform(1e-3, 1.0), (8, 3, 3))
+        covs = a @ np.swapaxes(a, 1, 2)
+        covs[7] = -covs[7]
+        return means, covs, refs
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_gaussian_to_vm_matches_loop(self, seed):
+        means, covs, refs = self.beliefs(seed)
+        chi, kappa = gaussian_to_vm_stack(means, covs, refs)
+        assert chi.shape == kappa.shape == (8, 2)
+        for b in range(8):
+            want_chi, want_kappa = gaussian_to_vm_loop(means[b], covs[b], refs[b])
+            assert np.allclose(chi[b], want_chi, rtol=1e-12, atol=1e-12 * np.pi)
+            assert np.allclose(kappa[b], want_kappa, rtol=1e-12, atol=0.0)
+        # both degenerate branches were taken
+        assert kappa[5, 0] == kappa[6, 1] == KAPPA_MAX
+        assert abs(chi[5, 0]) == abs(chi[6, 1]) == np.pi
+        assert np.all(kappa[7] == KAPPA_MAX)
+
+    def test_gaussian_to_vm_rejects_non_finite(self):
+        means, covs, refs = self.beliefs(0)
+        covs[2, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            gaussian_to_vm_stack(means, covs, refs)
+        with pytest.raises(ValueError, match="coincides"):
+            gaussian_to_vm_stack(refs, covs, refs)
+
+    @given(
+        chi=st.floats(-1e6, 1e6),
+        kappa=st.one_of(st.floats(0.0, 1e13), st.just(KAPPA_MAX)),
+    )
+    def test_normalize_matches_von_mises(self, chi, kappa):
+        got_chi, got_kappa = vm_normalize(np.array([chi, math.pi, -math.pi]), kappa)
+        assert got_chi[0] == vm_normalize_scalar(chi, kappa)[0] == VonMises(chi, kappa).chi
+        assert got_kappa == vm_normalize_scalar(chi, kappa)[1] == VonMises(chi, kappa).kappa
+        assert got_chi[1] == got_chi[2] == -math.pi
+
+    def test_normalize_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="mean direction"):
+            vm_normalize(np.array([0.0, np.nan]), 1.0)
+        with pytest.raises(ValueError, match="concentration"):
+            vm_normalize(0.0, np.array([1.0, -1.0]))
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            vm_extrinsic_stack(np.zeros(2), np.array([np.inf, 1.0]), np.zeros(2), np.ones(2))
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_extrinsic_stack_matches_scalar(self, seed):
+        rng = np.random.default_rng(seed)
+        chis = rng.uniform(-np.pi, np.pi, (2, 6))
+        kappas = rng.uniform(0.0, 50.0, (2, 6))
+        chi, kappa = vm_extrinsic_stack(chis[0], kappas[0], chis[1], kappas[1])
+        for i in range(6):
+            want = vm_extrinsic(VonMises(chis[0, i], kappas[0, i]), VonMises(chis[1, i], kappas[1, i]))
+            assert (chi[i], kappa[i]) == (want.chi, want.kappa)
+            # the phasor subtraction, checked as complex numbers
+            z = kappas[0, i] * np.exp(1j * chis[0, i]) - kappas[1, i] * np.exp(1j * chis[1, i])
+            assert abs(kappa[i] * np.exp(1j * chi[i]) - z) <= 1e-12 * (1.0 + kappas[:, i].sum())
 
 
 class TestGaussianBelief:

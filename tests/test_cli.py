@@ -92,6 +92,14 @@ def test_config_error_exit_code(tmp_path):
     assert code == EXIT_CONFIG
 
 
+def test_zero_iterations_config_error(config_path, tmp_path):
+    # iterations = 0 once ran the sweep and returned poses at the array centre
+    bad = tmp_path / "zero.ini"
+    bad.write_text(open(config_path).read() + "\n[estimator]\niterations = 0\n")
+    code = main(["sweep", "--config", str(bad), "--out", str(tmp_path / "sweep.csv")])
+    assert code == EXIT_CONFIG
+
+
 def test_missing_config_exit_code(tmp_path):
     code = main(["sweep", "--config", str(tmp_path / "missing.ini")])
     assert code == EXIT_CONFIG

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nearfield_pae.aoa import SourcePrior, SubarraySnapshot
+from nearfield_pae.aoa import AoaOptions, estimate_aoa_posteriors
 from nearfield_pae.baseline import farfield_aoa, run_baseline
 from nearfield_pae.channel import (
     ReceivedSignal,
@@ -9,8 +9,7 @@ from nearfield_pae.channel import (
     draw_poses,
     simulate_received,
 )
-from nearfield_pae.circular import VmPair, VonMises
-from nearfield_pae.engine import run
+from nearfield_pae.engine import EstimatorConfig, run
 from nearfield_pae.geometry import UraSpec
 from nearfield_pae.partition import uniform_partition
 
@@ -61,25 +60,33 @@ class TestNonFiniteAngleInput:
     cosines (-1, -1) or (0, 0) with no flag, and `farfield_aoa` returned
     (-1, -1) as a full-power component or raised ZeroDivisionError."""
 
-    PAIR = VmPair(VonMises(0.0, 1.0), VonMises(0.0, 1.0))
+    @staticmethod
+    def solve(samples, noise, coeff_var=1e-8):
+        """One snapshot, one source with prior means 0 and concentrations 1."""
+        return estimate_aoa_posteriors(
+            samples[None], [noise], np.zeros((1, 1, 2)), np.ones((1, 1, 2)), [[coeff_var]]
+        )
 
     @pytest.mark.parametrize("noise", [np.nan, np.inf])
     def test_snapshot_noise_power_rejected(self, noise):
         with pytest.raises(ValueError, match="noise power"):
-            SubarraySnapshot(np.ones((8, 8), dtype=complex), noise, 1)
+            self.solve(np.ones((8, 8), dtype=complex), noise)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_snapshot_samples_rejected(self, bad):
         samples = np.ones((8, 8), dtype=complex)
         samples[3, 4] = bad
         with pytest.raises(ValueError, match="finite"):
-            SubarraySnapshot(samples, 1e-10, 1)
+            self.solve(samples, 1e-10)
 
     def test_prior_variance_nan_rejected(self):
+        samples = np.ones((8, 8), dtype=complex)
         with pytest.raises(ValueError, match="variance"):
-            SourcePrior(self.PAIR, np.nan)
-        # an infinite variance is the flat amplitude prior
-        assert SourcePrior(self.PAIR, np.inf).coeff_prior_var == np.inf
+            self.solve(samples, 1e-10, np.nan)
+        # an infinite variance is the flat amplitude prior: the amplitude's
+        # posterior variance is then sigma^2 / n
+        flat = self.solve(samples, 1e-10, np.inf)
+        assert flat.coeff_var[0, 0] == pytest.approx(1e-10 / 64, rel=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_farfield_aoa_sample_rejected(self, bad):
@@ -94,3 +101,45 @@ class TestNonFiniteAngleInput:
         spec = UraSpec(8, 8, 0.005)
         with pytest.raises(ValueError, match="noise power"):
             farfield_aoa(np.ones(spec.n_antennas, dtype=complex), spec, 1, noise)
+
+
+class TestEstimatorControls:
+    """Invalid controls once passed construction: ``iterations = 0`` made
+    `run` return a pose at the array centre with no flag, a zero prior
+    std or pad factor raised a bare ZeroDivisionError inside `run`, and a
+    negative attitude concentration or a bad nominal range was used."""
+
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_iterations_below_one_rejected(self, iterations):
+        with pytest.raises(ValueError, match="iterations"):
+            EstimatorConfig(iterations=iterations)
+
+    @pytest.mark.parametrize("std", [0.0, -1.0, np.nan])
+    def test_position_prior_std_rejected(self, std):
+        with pytest.raises(ValueError, match="position_prior_std"):
+            EstimatorConfig(position_prior_std=std)
+
+    @pytest.mark.parametrize("kappa", [(-1.0, 0.0, 0.0), (0.0, np.nan, 0.0), (0.0, 0.0, np.inf)])
+    def test_attitude_prior_kappa_rejected(self, kappa):
+        with pytest.raises(ValueError, match="attitude_prior_kappa"):
+            EstimatorConfig(attitude_prior_kappa=kappa)
+
+    @pytest.mark.parametrize("r_nom", [0.0, -2.0, np.inf, np.nan])
+    def test_nominal_range_rejected(self, r_nom):
+        with pytest.raises(ValueError, match="nominal_range"):
+            EstimatorConfig(nominal_range=r_nom)
+
+    @pytest.mark.parametrize("pad", [0, -4])
+    def test_pad_factor_rejected(self, pad):
+        with pytest.raises(ValueError, match="pad_factor"):
+            AoaOptions(pad_factor=pad)
+
+    def test_valid_controls_accepted(self):
+        cfg = EstimatorConfig(
+            iterations=1,
+            position_prior_std=2.0,
+            attitude_prior_kappa=(0.0, 1.0, 0.0),
+            nominal_range=3.0,
+            aoa=AoaOptions(pad_factor=1),
+        )
+        assert cfg.iterations == 1 and cfg.aoa.pad_factor == 1

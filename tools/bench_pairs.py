@@ -13,8 +13,10 @@ the output gives each side's median and quartiles
 (``statistics.quantiles(values, n=4)``), the base's spread
 (q3 - q1) / median, the pairs in which the head is better, and each
 side's failed/attempted operations, plus the environment and each
-side's commit (``+dirty`` if its tree differs from it). It reports; it
-gates nothing.
+side's commit (``+dirty`` if its tree differs from it). Each metric also
+carries the verdicts a reviewer draws from these figures (`verdicts`):
+``gain`` and ``verdict`` (``unresolved``, ``worse`` or ``no worse``). It
+reports; it gates nothing.
 """
 
 import argparse
@@ -70,6 +72,34 @@ def quartiles(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
+def verdicts(base: list, head: list, better: str, bound: float) -> dict:
+    """What paired runs of one metric show, ``bound`` being the metric's
+    relative bound from BENCHMARK.json:
+
+    - ``gain``: the head is better in at least 9/10 of the pairs (ties
+      count for neither side) and its median is better than the base's by
+      more than the base's q3 - q1;
+    - ``verdict``: ``unresolved`` when the base's (q3 - q1) / median
+      exceeds the bound, unless every head run beats every base run;
+      else ``worse`` when the head median is worse than the base's by
+      more than the bound (relative to the base median); else
+      ``no worse``.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    b, h = quartiles(base), quartiles(head)
+    wins = sum(sign * (y - x) > 0.0 for x, y in zip(base, head))
+    iqr = b["q3"] - b["q1"]
+    gain = wins >= 0.9 * len(head) and sign * (h["median"] - b["median"]) > iqr
+    dominates = min(sign * y for y in head) > max(sign * x for x in base)
+    if iqr / abs(b["median"]) > bound and not dominates:
+        verdict = "unresolved"
+    elif sign * (b["median"] - h["median"]) / abs(b["median"]) > bound:
+        verdict = "worse"
+    else:
+        verdict = "no worse"
+    return {"head_wins": f"{wins}/{len(head)}", "gain": bool(gain), "verdict": verdict}
+
+
 def summarize(spec: dict, runs: dict) -> dict:
     """runs[workload][side] is the list of run results, pair by pair."""
     out = {}
@@ -80,19 +110,15 @@ def summarize(spec: dict, runs: dict) -> dict:
             values = {
                 side: [r["metrics"][name]["value"] for r in by_side[side]] for side in SIDES
             }
-            sign = 1.0 if metric["better"] == "higher" else -1.0
-            wins = sum(
-                sign * (h - b) > 0.0 for b, h in zip(values["base"], values["head"])
-            )
             entry = {key: metric[key] for key in ("unit", "better", "bound")}
             entry.update({side: quartiles(values[side]) for side in SIDES})
-            entry["head_wins"] = f"{wins}/{len(values['head'])}"
             entry["median_ratio"] = entry["head"]["median"] / entry["base"]["median"]
             # the base's own (q3 - q1) / median: a change smaller than this
             # is not resolved by these pairs, whatever the median ratio
             entry["base_spread"] = (
                 entry["base"]["q3"] - entry["base"]["q1"]
             ) / entry["base"]["median"]
+            entry.update(verdicts(values["base"], values["head"], metric["better"], metric["bound"]))
             metrics[name] = entry
         operations = {}
         for side in SIDES:
@@ -164,6 +190,7 @@ def main(argv=None) -> int:
                 f"{workload} {name}: base {m['base']['median']:.4g} "
                 f"[{m['base']['q1']:.4g}, {m['base']['q3']:.4g}], head {m['head']['median']:.4g} "
                 f"[{m['head']['q1']:.4g}, {m['head']['q3']:.4g}], head better in {m['head_wins']}"
+                f", {m['verdict']}" + (", gain" if m["gain"] else "")
             )
     return 0
 
