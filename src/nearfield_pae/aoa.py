@@ -70,7 +70,7 @@ class AoaOptions:
     gradient, about sqrt(eps |F| |H|) ~ 1e-7 |F| on 8x8 snapshots; below
     it the line search backtracks in vain (at 1e-8, a third of this
     routine's time on apple-k2). Raises ValueError on a ``pad_factor``
-    below 1."""
+    that is not an integer >= 1."""
 
     max_sweeps: int = 20
     move_tol: float = 1e-6
@@ -80,8 +80,8 @@ class AoaOptions:
     max_backtracks: int = 50
 
     def __post_init__(self):
-        if not self.pad_factor >= 1:
-            raise ValueError(f"pad_factor must be >= 1, got {self.pad_factor}")
+        if not (isinstance(self.pad_factor, (int, np.integer)) and self.pad_factor >= 1):
+            raise ValueError(f"pad_factor must be an integer >= 1, got {self.pad_factor}")
 
 
 def _projections(resid: np.ndarray, phi: np.ndarray, order: int = 2):
@@ -211,7 +211,8 @@ def estimate_aoa_posteriors(
     refine them, sweep position j of every unconverged snapshot in one
     stacked Newton solve. A snapshot leaves the stack after the first
     sweep that moved none of its cosines by more than ``move_tol``, so it
-    runs the sweeps it would run alone.
+    runs the sweeps it would run alone; with one source, only a snapshot
+    whose first ascent stopped unconverged sweeps at all.
 
     Returns an `AoaPosteriors`; with ``diagnostics`` its ``traces`` hold
     one non-decreasing joint-objective trace per snapshot (a value per
@@ -245,7 +246,7 @@ def estimate_aoa_posteriors(
         def derivatives(x, idx):
             return _profiled_terms(resid[idx], x, *(a[idx] for a in args))
 
-        return newton_fits(value, derivatives, start, ga).mean
+        return newton_fits(value, derivatives, start, ga)
 
     def coeff_update(resid, rows, ks):
         g = _projections(resid, phis[rows, ks], order=0)
@@ -274,18 +275,23 @@ def estimate_aoa_posteriors(
         start = _periodogram_starts(
             resid, chi[every, ks], kappa[every, ks], weights[every, ks], opts.pad_factor
         )
-        phis[every, ks] = ascend(resid, every, ks, start)
+        fits = ascend(resid, every, ks, start)
+        phis[every, ks] = fits.mean
         coeffs[every, ks] = coeff_update(resid, every, ks)
         resid = resid - model(every)[every, ks]
 
     traces = [[value] for value in joint_objective(every)] if diagnostics else None
-    active = every
+    # a single source has nothing to sweep around: a sweep would repeat its
+    # converged ascent on the same residual
+    active = every if k_count > 1 else every[~fits.converged]
     for _ in range(opts.max_sweeps):
+        if active.size == 0:
+            break
         max_move = np.zeros(active.size)
         for j in range(k_count):
             ks = order[active, j]
             resid_k = leave_one_out(active, ks)
-            new_phi = ascend(resid_k, active, ks, phis[active, ks])
+            new_phi = ascend(resid_k, active, ks, phis[active, ks]).mean
             max_move = np.maximum(max_move, np.max(np.abs(new_phi - phis[active, ks]), axis=1))
             phis[active, ks] = new_phi
             coeffs[active, ks] = coeff_update(resid_k, active, ks)
@@ -293,8 +299,6 @@ def estimate_aoa_posteriors(
             for b, value in zip(active, joint_objective(active)):
                 traces[b].append(value)
         active = active[max_move >= opts.move_tol]
-        if active.size == 0:
-            break
 
     coeff_mean = np.empty_like(coeffs)
     kappa_post = np.empty_like(kappa)

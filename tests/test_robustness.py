@@ -106,8 +106,9 @@ class TestNonFiniteAngleInput:
 class TestEstimatorControls:
     """Invalid controls once passed construction: ``iterations = 0`` made
     `run` return a pose at the array centre with no flag, a zero prior
-    std or pad factor raised a bare ZeroDivisionError inside `run`, and a
-    negative attitude concentration or a bad nominal range was used."""
+    std or pad factor raised a bare ZeroDivisionError inside `run` (a
+    fractional pad factor a TypeError), and a negative attitude
+    concentration or a bad nominal range was used."""
 
     @pytest.mark.parametrize("iterations", [0, -1])
     def test_iterations_below_one_rejected(self, iterations):
@@ -129,7 +130,7 @@ class TestEstimatorControls:
         with pytest.raises(ValueError, match="nominal_range"):
             EstimatorConfig(nominal_range=r_nom)
 
-    @pytest.mark.parametrize("pad", [0, -4])
+    @pytest.mark.parametrize("pad", [0, -4, 2.5])
     def test_pad_factor_rejected(self, pad):
         with pytest.raises(ValueError, match="pad_factor"):
             AoaOptions(pad_factor=pad)
