@@ -173,17 +173,15 @@ def _checked_inputs(samples, noise_power, prior_chi, prior_kappa, coeff_prior_va
         )
     if kappa.shape != chi.shape or prior_var.shape != chi.shape[:2] or chi.shape[1] == 0:
         raise ValueError(
-            f"expected {chi.shape[1]} >= 1 priors per snapshot, got concentrations "
-            f"{kappa.shape} and amplitude variances {prior_var.shape}"
+            f"expected priors of at least one source: concentrations {chi.shape} and "
+            f"amplitude variances {chi.shape[:2]}, got {kappa.shape} and {prior_var.shape}"
         )
-    bad = sigw2[~(np.isfinite(sigw2) & (sigw2 > 0))]
-    if bad.size:
-        raise ValueError(f"noise power must be finite and positive, got {bad[0]}")
+    if not np.all(np.isfinite(sigw2) & (sigw2 > 0)):
+        raise ValueError("noise power must be finite and positive")
     if not (np.all(np.isfinite(chi)) and np.all(np.isfinite(kappa) & (kappa >= 0))):
         raise ValueError("prior means must be finite and concentrations finite and >= 0")
-    bad = prior_var[~(prior_var > 0)]
-    if bad.size:
-        raise ValueError(f"amplitude prior variance must be > 0, got {bad[0]}")
+    if not np.all(prior_var > 0):
+        raise ValueError("amplitude prior variance must be > 0 (inf is a flat prior)")
     return y, sigw2[:, None], chi, kappa, prior_var
 
 
@@ -281,8 +279,7 @@ def estimate_aoa_posteriors(
         resid = resid - model(every)[every, ks]
 
     traces = [[value] for value in joint_objective(every)] if diagnostics else None
-    # a single source has nothing to sweep around: a sweep would repeat its
-    # converged ascent on the same residual
+    # one source: a sweep would repeat its converged ascent on the same residual
     active = every if k_count > 1 else every[~fits.converged]
     for _ in range(opts.max_sweeps):
         if active.size == 0:

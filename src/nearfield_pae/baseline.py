@@ -78,9 +78,7 @@ def farfield_aoa(
     """
     y_mat = np.asarray(y_t).reshape(bs_spec.ny, bs_spec.nx).T
     flat = np.zeros((1, k_sources, 2))
-    post = estimate_aoa_posteriors(
-        y_mat[None], np.array([noise_power]), flat, flat, np.full((1, k_sources), math.inf)
-    )
+    post = estimate_aoa_posteriors(y_mat[None], [noise_power], flat, flat, flat[..., 0] + math.inf)
     metrics = bs_spec.n_antennas * np.abs(post.coeff_mean[0]) ** 2 / noise_power
     return [
         FarFieldAoaEstimate(cosines, complex(coeff), float(metric), bool(metric < LOW_POWER_METRIC))

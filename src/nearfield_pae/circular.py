@@ -121,7 +121,8 @@ def vm_extrinsic_stack(post_chi, post_kappa, pri_chi, pri_kappa):
     on stacks of different shapes."""
     if len({np.shape(a) for a in (post_chi, post_kappa, pri_chi, pri_kappa)}) > 1:
         raise ValueError("posterior and prior stacks must have equal shapes")
-    z = post_kappa * np.exp(1j * np.asarray(post_chi)) - pri_kappa * np.exp(1j * np.asarray(pri_chi))
+    z = post_kappa * np.exp(1j * np.asarray(post_chi))
+    z = z - pri_kappa * np.exp(1j * np.asarray(pri_chi))
     return vm_normalize(np.angle(z), np.abs(z))
 
 

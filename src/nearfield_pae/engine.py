@@ -68,10 +68,10 @@ class EstimatorConfig:
     ``iterations = None`` resolves to one pass for a single MS and five
     for multiple MSs. ``coeff_prior_var = None`` resolves to the nominal
     link budget at ``nominal_range``. Position and attitude priors default
-    to non-informative values. Raises ValueError at construction on fewer
-    than one iteration, a ``position_prior_std`` that is not positive, an
-    ``attitude_prior_kappa`` that is not finite and >= 0, or a
-    ``nominal_range`` that is not finite and positive.
+    to non-informative values. Raises ValueError at construction on an
+    iteration count that is not an integer >= 1, a ``position_prior_std``
+    that is not positive, an ``attitude_prior_kappa`` that is not finite
+    and >= 0, or a ``nominal_range`` that is not finite and positive.
     """
 
     iterations: int | None = None
@@ -86,8 +86,9 @@ class EstimatorConfig:
     aoa: AoaOptions = AoaOptions()
 
     def __post_init__(self):
-        if self.iterations is not None and not self.iterations >= 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        iters = self.iterations
+        if iters is not None and not (isinstance(iters, (int, np.integer)) and iters >= 1):
+            raise ValueError(f"iterations must be an integer >= 1, got {iters}")
         if not self.position_prior_std > 0:
             raise ValueError(f"position_prior_std must be positive, got {self.position_prior_std}")
         kappa = np.asarray(self.attitude_prior_kappa, dtype=float)
@@ -585,10 +586,9 @@ def _relabel_first_iteration(chi: np.ndarray, coeff_abs: np.ndarray, plan: Parti
 
     The subarray whose reference antenna is nearest the array center
     anchors the labels at slot 1 (descending amplitude magnitude); its
-    other slots are matched to slot 1, and every other subarray is matched
-    to the anchor's labels for the same slot, by optimal assignment on
-    circular distance.
-    """
+    other slots are matched to slot 1, and every other subarray to the
+    anchor's labels for the same slot, by optimal assignment on circular
+    distance."""
     m_count, t_count, _ = coeff_abs.shape
     anchor = int(np.argmin(np.linalg.norm(plan.reference_positions(), axis=1)))
     perm = np.empty(coeff_abs.shape, dtype=int)
@@ -635,13 +635,14 @@ def aoa_module_pass(
             np.full(cells, cfg.coeff_prior_var),
             cfg.aoa,
         )
-        for out, got in (
-            (chi, post.chi), (kappa, post.kappa), (coeff, post.coeff_mean), (fallback, post.curvature_fallback)
-        ):
+        found = (post.chi, post.kappa, post.coeff_mean, post.curvature_fallback)
+        for out, got in zip((chi, kappa, coeff, fallback), found):
             out[group.members] = got.reshape((-1,) + out.shape[1:])
     if state.iteration == 0 and k_count > 1:
         perm = _relabel_first_iteration(chi, np.abs(coeff), plan)
-        chi, kappa, fallback = (np.take_along_axis(a, perm[..., None], 2) for a in (chi, kappa, fallback))
+        chi, kappa, fallback = (
+            np.take_along_axis(a, perm[..., None], 2) for a in (chi, kappa, fallback)
+        )
         coeff = np.take_along_axis(coeff, perm, 2)
     ext_chi, ext_kappa = vm_extrinsic_stack(chi, kappa, prior_chi, prior_kappa)
     state.ext_chi[:] = ext_chi.transpose(0, 2, 1, 3)

@@ -245,15 +245,17 @@ class TestStackedKernels:
     @staticmethod
     def beliefs(seed):
         """Eight beliefs seen from their reference points: five generic,
-        one endfire on each axis, and one whose covariance makes every
-        denominator <= 0."""
+        one near endfire on each axis (1 - phi^2 below 1e-12 but phi not
+        exactly +/-1), and one whose covariance makes every denominator
+        <= 0."""
         rng = np.random.default_rng(seed)
         refs = np.zeros((8, 3))
         refs[:, :2] = rng.uniform(-0.2, 0.2, (8, 2))
         means = refs + rng.uniform(-3.0, 3.0, (8, 3))
         means[:, 2] = np.abs(means[:, 2]) + 0.5
-        means[5] = refs[5] + [rng.uniform(0.5, 4.0), 0.0, 0.0]
-        means[6] = refs[6] - [0.0, rng.uniform(0.5, 4.0), 0.0]
+        tilt = rng.uniform(1e-8, 1e-7, 2)
+        means[5] = refs[5] + rng.uniform(0.5, 4.0) * np.array([1.0, tilt[0], 0.0])
+        means[6] = refs[6] - rng.uniform(0.5, 4.0) * np.array([tilt[1], 1.0, 0.0])
         a = rng.normal(0.0, rng.uniform(1e-3, 1.0), (8, 3, 3))
         covs = a @ np.swapaxes(a, 1, 2)
         covs[7] = -covs[7]

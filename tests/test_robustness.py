@@ -105,12 +105,13 @@ class TestNonFiniteAngleInput:
 
 class TestEstimatorControls:
     """Invalid controls once passed construction: ``iterations = 0`` made
-    `run` return a pose at the array centre with no flag, a zero prior
+    `run` return a pose at the array centre with no flag (2.5 ran two
+    passes), a zero prior
     std or pad factor raised a bare ZeroDivisionError inside `run` (a
     fractional pad factor a TypeError), and a negative attitude
     concentration or a bad nominal range was used."""
 
-    @pytest.mark.parametrize("iterations", [0, -1])
+    @pytest.mark.parametrize("iterations", [0, -1, 2.5])
     def test_iterations_below_one_rejected(self, iterations):
         with pytest.raises(ValueError, match="iterations"):
             EstimatorConfig(iterations=iterations)
