@@ -108,7 +108,7 @@ def cosine_fit_terms(x: np.ndarray, aoas: np.ndarray, q_locals: np.ndarray, orde
     and Hessian (B, 6, 6), both analytic."""
     x = np.asarray(x, dtype=float)
     q = np.broadcast_to(q_locals, (x.shape[0],) + q_locals.shape)
-    offsets, jac, curvature = rigid_antenna_chain(x[:, 3:], q, order)
+    offsets, jac, second = rigid_antenna_chain(x[:, 3:], q, order)
     ants = x[:, None, :3] + offsets
     phi, dphi = direction_cosine_derivatives(ants)
     w = aoas - phi
@@ -123,7 +123,7 @@ def cosine_fit_terms(x: np.ndarray, aoas: np.ndarray, q_locals: np.ndarray, orde
     )
     grad = np.einsum("btxa,btx->ba", jac, v)
     hess = np.einsum("btxa,btxy,btyc->bac", jac, curv, jac)
-    hess[:, 3:, 3:] += curvature(v)
+    hess[:, 3:, 3:] += np.einsum("btxac,btx->bac", second, v)
     return value, grad, hess
 
 
@@ -154,7 +154,6 @@ def pose_from_aoas(
     _check_range_init(range_init)
     aoas = np.asarray(aoas, dtype=float)
     q_locals = np.asarray(q_locals, dtype=float)
-    t_count = aoas.shape[0]
     flags = []
     centered = q_locals - q_locals.mean(axis=0)
     if np.linalg.matrix_rank(centered, tol=1e-9) < 2:
@@ -178,7 +177,7 @@ def pose_from_aoas(
     # then align the planar layout to them for the final attitude
     fitted = x[:3] + rigid_antenna_chain(x[None, 3:], q_locals[None], order=0)[0][0]
     ranges = np.linalg.norm(fitted, axis=1)
-    points = np.array([ray_from_cosines(aoas[t]) * ranges[t] for t in range(t_count)])
+    points = ray_from_cosines(aoas) * ranges[:, None]
     aligned = procrustes_pose(points, q_locals)
     pose = np.concatenate([x[:3], aligned[3:]])
     return pose, flags

@@ -382,11 +382,6 @@ def reduced_received(
     return ReceivedSignal(y)
 
 
-def extract_subarray(signal: ReceivedSignal, plan: PartitionPlan, m: int, t: int) -> np.ndarray:
-    """(nx, ny) snapshot of subarray ``m`` in slot ``t``."""
-    return signal.samples[plan.subarray_row_indices(m), t]
-
-
 def estimate_noise_power(guard_samples: np.ndarray) -> float:
     """Plug-in noise-variance estimate from signal-free guard samples."""
     guard = np.asarray(guard_samples).ravel()

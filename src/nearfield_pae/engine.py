@@ -37,7 +37,6 @@ from .aoa import AoaOptions, estimate_aoa_posteriors, match_components
 from .channel import ReceivedSignal, ScenarioConfig
 from .circular import (
     GaOptions,
-    GaussianBelief,
     gaussian_to_vm_stack,
     information_product,
     laplace_fit,
@@ -238,7 +237,7 @@ def triangulate_init(
     usable = np.flatnonzero(strength > _KAPPA_FLOOR)
     if usable.size == 0:
         return np.array([0.0, 0.0, nominal_range])
-    dirs = np.array([ray_from_cosines(chis[m] / np.pi) for m in usable])
+    dirs = ray_from_cosines(chis[usable] / np.pi)
     if usable.size == 1:
         return refs[usable[0]] + nominal_range * dirs[0]
     # most widely separated pair of reference antennas
@@ -389,7 +388,7 @@ def pose_terms(
     x = np.asarray(x, dtype=float)
     p, theta = x[:, :3], x[:, 3:]
     q = np.broadcast_to(q_locals, obs_means.shape[:2] + (2,))
-    offsets, jac, curvature = rigid_antenna_chain(theta, q, order)
+    offsets, jac, second = rigid_antenna_chain(theta, q, order)
     e = obs_means - p[:, None, :] - offsets
     we = np.einsum("btxy,bty->btx", obs_weights, e)
     value, prior_grad, prior_diag = prior.terms(p, theta)
@@ -398,7 +397,7 @@ def pose_terms(
         return value
     grad = np.einsum("btxa,btx->ba", jac, we) + prior_grad
     hess = -np.einsum("btxa,btxy,btyc->bac", jac, obs_weights, jac)
-    hess[:, 3:, 3:] += curvature(we)
+    hess[:, 3:, 3:] += np.einsum("btxac,btx->bac", second, we)
     hess += np.einsum("ba,ac->bac", prior_diag, np.eye(6))
     return value, grad, hess
 
@@ -499,10 +498,7 @@ def update_pose_messages(state: MessageState, q_locals: np.ndarray, cfg: Estimat
     state.pose_mean[:] = fits.mean.reshape(k_count, t_count, 6)
     state.pose_cov_p[:] = fits.cov[:, :3, :3].reshape(k_count, t_count, 3, 3)
     state.pose_cov_theta[:] = fits.cov[:, 3:, 3:].reshape(k_count, t_count, 3, 3)
-    for k, t in np.ndindex(k_count, t_count):
-        eta = project_pose_to_antennas(state, k, t, q_locals[t])
-        state.eta_mean[k, t] = eta.mean
-        state.eta_cov[k, t] = eta.cov
+    state.eta_mean[:], state.eta_cov[:] = project_pose_to_antennas(state, q_locals)
     vals = np.linalg.eigvalsh(fits.cov)
     raised = {
         "pose_nonconverged": ~fits.converged,
@@ -514,16 +510,20 @@ def update_pose_messages(state: MessageState, q_locals: np.ndarray, cfg: Estimat
     return _stage_flags(raised, (k_count, t_count))
 
 
-def project_pose_to_antennas(
-    state: MessageState, k: int, t: int, q_local: np.ndarray
-) -> GaussianBelief:
-    """Push a pose belief through the rigid-body constraint via first-order
-    linearization of the rotation in the attitude."""
-    pose = state.pose_mean[k, t]
-    offsets, jac, _ = rigid_antenna_chain(pose[None, 3:], q_local[None, None], order=1)
-    q_mat = jac[0, 0, :, 3:]
-    cov = state.pose_cov_p[k, t] + q_mat @ state.pose_cov_theta[k, t] @ q_mat.T
-    return GaussianBelief(pose[:3] + offsets[0, 0], 0.5 * (cov + cov.T))
+def project_pose_to_antennas(state: MessageState, q_locals: np.ndarray) -> tuple:
+    """Push every pose message (k, t) through the rigid-body constraint to
+    the antenna of slot t at local offset ``q_locals[t]`` (T, 2), by
+    first-order linearization of the rotation in the attitude, in one
+    chain-rule call. Returns means (K, T, 3) and symmetrized covariances
+    cov_p + Q cov_theta Q^T (K, T, 3, 3), with Q = dR/dtheta q_t."""
+    shape = state.pose_mean.shape[:2]
+    theta = state.pose_mean[..., 3:].reshape(-1, 3)
+    q = np.broadcast_to(q_locals, shape + (2,)).reshape(-1, 1, 2)
+    offsets, jac, _ = rigid_antenna_chain(theta, q, order=1)
+    q_mat = jac[:, 0, :, 3:].reshape(shape + (3, 3))
+    cov = state.pose_cov_p + q_mat @ state.pose_cov_theta @ np.swapaxes(q_mat, -1, -2)
+    mean = state.pose_mean[..., :3] + offsets.reshape(shape + (3,))
+    return mean, 0.5 * (cov + np.swapaxes(cov, -1, -2))
 
 
 def feedback_messages(state: MessageState, plan: PartitionPlan, cfg: EstimatorConfig):

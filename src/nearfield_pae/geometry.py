@@ -10,6 +10,13 @@ Conventions used throughout the package:
 * A mobile-station (MS) attitude is a roll/pitch/yaw triple applied as
   ``Rz(yaw) @ Ry(pitch) @ Rx(roll)``; only the first two columns of the
   composed rotation matter because MS arrays are planar.
+
+`rotation_bases` is the one rotation kernel: it builds the 3x2 bases of
+stacked attitudes (B, 3) and their first and second angle derivatives
+without a loop over attitudes. `rigid_antenna_chain` turns them into the
+chain rule from a pose to its antenna positions, which the estimator,
+the far-field baseline and the bound share; `rotation_basis` is the
+kernel on one validated attitude.
 """
 
 from __future__ import annotations
@@ -20,10 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0
-
-_EX = np.array([1.0, 0.0, 0.0])
-_EY = np.array([0.0, 1.0, 0.0])
-_EZ = np.array([0.0, 0.0, 1.0])
 
 
 def wavelength(carrier_hz: float) -> float:
@@ -208,11 +211,12 @@ class RotationBasis:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (3, 2):
             raise ValueError(f"rotation basis must be 3x2, got {m.shape}")
-        if abs(np.linalg.norm(m[:, 0]) - 1.0) > 1e-9 or abs(
-            np.linalg.norm(m[:, 1]) - 1.0
-        ) > 1e-9:
+        # column norms and their inner product from one Gram matrix
+        gram = m.T @ m
+        norms = np.sqrt(np.diag(gram))
+        if abs(norms[0] - 1.0) > 1e-9 or abs(norms[1] - 1.0) > 1e-9:
             raise ValueError("basis columns must be unit vectors")
-        if abs(m[:, 0] @ m[:, 1]) > 1e-9:
+        if abs(gram[0, 1]) > 1e-9:
             raise ValueError("basis columns must be orthogonal")
         object.__setattr__(self, "matrix", m)
 
@@ -225,124 +229,88 @@ class RotationBasis:
         return self.matrix[:, 1]
 
 
-def _elementary_rotations(roll: float, pitch: float, yaw: float, order: int = 0):
-    """Rx(roll), Ry(pitch) and Rz(yaw), or their first or second
-    derivatives (``order`` 1 or 2) in their own angles."""
-    entries = []
-    for angle in (roll, pitch, yaw):
-        c, s = math.cos(angle), math.sin(angle)
-        entries.append(((c, s, 1.0), (-s, c, 0.0), (-c, -s, 0.0))[order])
-    (cx, sx, ex), (cy, sy, ey), (cz, sz, ez) = entries
-    rx = np.array([[ex, 0, 0], [0, cx, -sx], [0, sx, cx]])
-    ry = np.array([[cy, 0, sy], [0, ey, 0], [-sy, 0, cy]])
-    rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, ez]])
-    return rx, ry, rz
+def rotation_bases(theta: np.ndarray, order: int = 0) -> tuple:
+    """3x2 bases of attitudes ``theta`` (B, 3) = (roll, pitch, yaw), with
+    their derivatives in the angles up to ``order`` (0, 1 or 2). This is
+    the one place that knows R(theta) = Rz(yaw) Ry(pitch) Rx(roll) and its
+    derivatives; the angles are unrestricted (optimizer iterates).
 
-
-def rotation_matrix(angles: EulerAngles) -> np.ndarray:
-    """Full 3x3 rotation ``Rz(yaw) @ Ry(pitch) @ Rx(roll)``."""
-    rx, ry, rz = _elementary_rotations(angles.roll, angles.pitch, angles.yaw)
-    return rz @ ry @ rx
+    Returns (bases, first, second): ``bases`` (B, 3, 2) from the closed-
+    form entries of R's first two columns; ``first`` (B, 3, 3, 2) with
+    first[b, a] = d(basis)/d(theta_a); ``second`` (B, 3, 3, 3, 2) with
+    second[b, a, c] = d2(basis)/d(theta_a)d(theta_c), symmetric in (a, c).
+    Derivatives above ``order`` are None. Every derivative is one product
+    Rz^(i) Ry^(j) Rx^(k) of elementary rotations differentiated i, j and k
+    times in their own angles (Diebel, *Representing Attitude*, 2006).
+    """
+    theta = np.asarray(theta, dtype=float)
+    cos, sin = np.cos(theta), np.sin(theta)
+    cx, cy, cz = cos[:, 0], cos[:, 1], cos[:, 2]
+    sx, sy, sz = sin[:, 0], sin[:, 1], sin[:, 2]
+    bases = np.empty(theta.shape[:1] + (3, 2))
+    bases[:, 0, 0] = cz * cy
+    bases[:, 1, 0] = sz * cy
+    bases[:, 2, 0] = -sy
+    bases[:, 0, 1] = cz * sy * sx - sz * cx
+    bases[:, 1, 1] = sz * sy * sx + cz * cx
+    bases[:, 2, 1] = cy * sx
+    if order == 0:
+        return bases, None, None
+    # elem[b, l, n]: the n-th derivative of the elementary rotation about
+    # axis l (x, y, z for roll, pitch, yaw), which turns the plane (i, j)
+    cos_n = np.stack([cos, -sin, -cos][: order + 1], axis=-1)
+    sin_n = np.stack([sin, cos, -sin][: order + 1], axis=-1)
+    elem = np.zeros(theta.shape[:1] + (3, order + 1, 3, 3))
+    for axis, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        elem[:, axis, 0, axis, axis] = 1.0
+        elem[:, axis, :, i, i] = elem[:, axis, :, j, j] = cos_n[:, axis]
+        elem[:, axis, :, i, j] = -sin_n[:, axis]
+        elem[:, axis, :, j, i] = sin_n[:, axis]
+    # prod[b, i, j, k] = Rz^(i) Ry^(j) Rx^(k)[:, :2], as two broadcast matmuls
+    zy = elem[:, 2, :, None] @ elem[:, 1, None, :]
+    prod = zy[:, :, :, None] @ elem[:, 0, None, None, :, :, :2]
+    # d/d(theta_a) differentiates the rotation about axis a once, and
+    # d2/d(theta_a)d(theta_c) those about a and c once each (a == c: twice);
+    # prod takes the counts in (yaw, pitch, roll) order
+    once = np.eye(3, dtype=int)
+    first = prod[:, once[:, 2], once[:, 1], once[:, 0]]
+    if order == 1:
+        return bases, first, None
+    twice = once[:, None] + once[None, :]
+    return bases, first, prod[:, twice[..., 2], twice[..., 1], twice[..., 0]]
 
 
 def rotation_basis(angles: EulerAngles) -> RotationBasis:
     """3x2 basis mapping MS-local planar offsets into global coordinates."""
-    return RotationBasis(
-        rotation_matrix_from_theta((angles.roll, angles.pitch, angles.yaw))
-    )
-
-
-def rotation_basis_derivatives(theta: np.ndarray) -> np.ndarray:
-    """Partial derivatives of the 3x2 basis w.r.t. roll, pitch, yaw.
-
-    Parameters
-    ----------
-    theta : array_like, shape (3,)
-        Roll, pitch, yaw in radians (no support restriction; used at
-        optimizer iterates).
-
-    Returns
-    -------
-    ndarray, shape (3, 3, 2)
-        ``out[l]`` is d(basis)/d(theta_l) for l in (roll, pitch, yaw).
-    """
-    angles = float(theta[0]), float(theta[1]), float(theta[2])
-    rx, ry, rz = _elementary_rotations(*angles)
-    drx, dry, drz = _elementary_rotations(*angles, order=1)
-    return np.stack(
-        [
-            (rz @ ry @ drx)[:, :2],
-            (rz @ dry @ rx)[:, :2],
-            (drz @ ry @ rx)[:, :2],
-        ]
-    )
-
-
-def rotation_basis_second_derivatives(theta: np.ndarray) -> np.ndarray:
-    """Second partial derivatives of the 3x2 basis w.r.t. roll, pitch, yaw.
-
-    Returns
-    -------
-    ndarray, shape (3, 3, 3, 2)
-        ``out[a, b]`` is d2(basis)/d(theta_a)d(theta_b); symmetric in
-        (a, b).
-    """
-    angles = float(theta[0]), float(theta[1]), float(theta[2])
-    # by_order[n][l]: n-th derivative of the elementary rotation about axis l
-    by_order = [_elementary_rotations(*angles, order=n) for n in range(3)]
-    out = np.zeros((3, 3, 3, 2))
-    for a in range(3):
-        for b in range(a, 3):
-            rx, ry, rz = (by_order[(a == l) + (b == l)][l] for l in range(3))
-            out[a, b] = out[b, a] = (rz @ ry @ rx)[:, :2]
-    return out
+    return RotationBasis(rotation_bases(angles.as_array()[None])[0][0])
 
 
 def rigid_antenna_chain(theta: np.ndarray, q: np.ndarray, order: int = 2) -> tuple:
     """Offsets R(theta_b) q_bt of antennas at local positions ``q``
     (B, T, 2) on bodies with attitudes ``theta`` (B, 3), shape (B, T, 3),
     and the chain rule from a pose x = (p, theta) to its antenna positions
-    a_t = p + R(theta) q_t.
+    a_t = p + R(theta) q_t, from one `rotation_bases` call.
 
-    Returns (offsets, jac, curvature). ``jac`` (B, T, 3, 6) holds
-    J_t = da_t/dx = [I, dR/dtheta q_t]; ``curvature(w)`` contracts
-    weights w (B, T, 3) with the second derivatives of a_t, returning
-    sum_t w_t . d2(R q_t)/dtheta2 (B, 3, 3), the attitude block of the
-    Hessian term sum_t w_t . d2a_t/dx2. Both are None when ``order`` is 0.
+    Returns (offsets, jac, second). ``jac`` (B, T, 3, 6) holds
+    J_t = da_t/dx = [I, dR/dtheta q_t] and is None when ``order`` is 0.
+    ``second`` (B, T, 3, 3, 3) holds d2(R q_t)/dtheta_a dtheta_c indexed
+    [b, t, x, a, c], the only nonzero block of d2a_t/dx2, and is None
+    below ``order`` 2.
     """
-    basis = np.stack([rotation_matrix_from_theta(th) for th in theta])
+    basis, first, second = rotation_bases(theta, order)
     offsets = np.einsum("bxc,btc->btx", basis, q)
     if order == 0:
         return offsets, None, None
-    dbasis = np.stack([rotation_basis_derivatives(th) for th in theta])
     jac = np.concatenate(
         [
             np.broadcast_to(np.eye(3), offsets.shape + (3,)),
-            np.einsum("baxc,btc->btxa", dbasis, q),
+            np.einsum("baxc,btc->btxa", first, q),
         ],
         axis=-1,
     )
-
-    def curvature(w):
-        d2basis = np.stack([rotation_basis_second_derivatives(th) for th in theta])
-        return np.einsum("bacxk,btk,btx->bac", d2basis, q, w)
-
-    return offsets, jac, curvature
-
-
-def rotation_matrix_from_theta(theta) -> np.ndarray:
-    """3x2 basis from an unconstrained roll/pitch/yaw triple (optimizer-hot
-    path; closed-form entries of the composed rotation's first two columns)."""
-    cx, sx = math.cos(theta[0]), math.sin(theta[0])
-    cy, sy = math.cos(theta[1]), math.sin(theta[1])
-    cz, sz = math.cos(theta[2]), math.sin(theta[2])
-    return np.array(
-        [
-            [cz * cy, cz * sy * sx - sz * cx],
-            [sz * cy, sz * sy * sx + cz * cx],
-            [-sy, cy * sx],
-        ]
-    )
+    if order == 1:
+        return offsets, jac, None
+    return offsets, jac, np.einsum("bacxk,btk->btxac", second, q)
 
 
 def canonicalize_euler(theta: np.ndarray) -> EulerAngles:
@@ -459,14 +427,15 @@ def aoa_cosines(target: np.ndarray, reference: np.ndarray) -> tuple[float, float
 
 
 def ray_from_cosines(cosines: np.ndarray) -> np.ndarray:
-    """Unit direction into the front half-space (z >= 0) with the given
-    x and y direction cosines; a pair outside the unit disc is first
-    scaled back onto its rim."""
-    sq = float(cosines @ cosines)
-    if sq > 1.0:
-        cosines = cosines / math.sqrt(sq)
-        sq = 1.0
-    return np.array([cosines[0], cosines[1], math.sqrt(max(0.0, 1.0 - sq))])
+    """Unit directions (..., 3) into the front half-space (z >= 0) with
+    the given x and y direction cosines (..., 2); a pair outside the unit
+    disc is first scaled back onto its rim."""
+    cosines = np.asarray(cosines, dtype=float)
+    # squared norms (..., 1) through matmul's dot, the same rounding as a
+    # single pair's ``cosines @ cosines``
+    sq = (cosines[..., None, :] @ cosines[..., :, None])[..., 0]
+    z = np.sqrt(np.maximum(0.0, 1.0 - sq))
+    return np.concatenate([cosines / np.maximum(np.sqrt(sq), 1.0), z], axis=-1)
 
 
 def _unit_offsets(diff: np.ndarray):

@@ -46,7 +46,6 @@ from .geometry import (
     direction_cosine_derivatives,
     direction_cosine_hessian,
     rigid_antenna_chain,
-    rotation_basis_second_derivatives,
 )
 from .partition import PartitionPlan, SubarrayGroup, subarray_groups
 
@@ -176,20 +175,20 @@ def _pose_columns(k: int, k_count: int) -> np.ndarray:
 
 def _antenna_derivatives(gamma: np.ndarray, scenario: ScenarioConfig, order: int):
     """Activated-antenna positions (K, T, 3) with, unless ``order`` is 0,
-    their derivatives in the MS's own [position, attitude]: first
-    (K, T, 3, 6) from `rigid_antenna_chain` and, at ``order`` 2, second
-    (K, T, 3, 6, 6); otherwise None."""
+    their derivatives in the MS's own [position, attitude], both from
+    `rigid_antenna_chain`: first (K, T, 3, 6) and, at ``order`` 2, second
+    (K, T, 3, 6, 6), whose only nonzero block is the attitude one;
+    otherwise None."""
     k_count = scenario.num_ms
     q_locals = scenario.pattern.local_positions(scenario.ms, scenario.lam)
     theta = gamma[3 * k_count :].reshape(k_count, 3)
     q = np.broadcast_to(q_locals, (k_count,) + q_locals.shape)
-    offsets, first, _ = rigid_antenna_chain(theta, q, min(order, 1))
+    offsets, first, attitude_second = rigid_antenna_chain(theta, q, order)
     antennas = gamma[: 3 * k_count].reshape(k_count, 1, 3) + offsets
     if order < 2:
         return antennas, first, None
-    d2basis = np.stack([rotation_basis_second_derivatives(th) for th in theta])
     second = np.zeros(first.shape + (6,))
-    second[..., 3:, 3:] = np.einsum("kabxc,ktc->ktxab", d2basis, q)
+    second[..., 3:, 3:] = attitude_second
     return antennas, first, second
 
 

@@ -1,8 +1,9 @@
 """Test oracles: reference computations the program itself does not run.
 
 Finite differences check the analytic derivatives, the dense-embedding
-mean and Fisher matrix check the block-wise bound in `mcrb`, and scalar
-loops check the stacked von Mises kernels in `circular`.
+mean and Fisher matrix check the block-wise bound in `mcrb`, scalar
+loops check the stacked von Mises kernels in `circular`, and products of
+one attitude's elementary rotations check `geometry.rotation_bases`.
 """
 
 import math
@@ -18,9 +19,53 @@ from nearfield_pae.circular import (
     information_product,
 )
 from nearfield_pae.engine import composite_vm_terms
-from nearfield_pae.geometry import rotation_basis_derivatives, rotation_matrix_from_theta
 from nearfield_pae.mcrb import gain_index, reduced_embedding, unpack_extended, unpack_poses
 from nearfield_pae.partition import PartitionPlan
+
+
+def elementary_rotations(roll: float, pitch: float, yaw: float, order: int = 0):
+    """Rx(roll), Ry(pitch) and Rz(yaw), or their first or second
+    derivatives (``order`` 1 or 2) in their own angles."""
+    entries = []
+    for angle in (roll, pitch, yaw):
+        c, s = math.cos(angle), math.sin(angle)
+        entries.append(((c, s, 1.0), (-s, c, 0.0), (-c, -s, 0.0))[order])
+    (cx, sx, ex), (cy, sy, ey), (cz, sz, ez) = entries
+    rx = np.array([[ex, 0, 0], [0, cx, -sx], [0, sx, cx]])
+    ry = np.array([[cy, 0, sy], [0, ey, 0], [-sy, 0, cy]])
+    rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, ez]])
+    return rx, ry, rz
+
+
+def rotation_matrix(theta) -> np.ndarray:
+    """Full 3x3 rotation ``Rz(yaw) @ Ry(pitch) @ Rx(roll)`` of a
+    roll/pitch/yaw triple."""
+    rx, ry, rz = elementary_rotations(*(float(x) for x in theta))
+    return rz @ ry @ rx
+
+
+def rotation_basis_derivatives(theta) -> np.ndarray:
+    """d(basis)/d(theta_l), (3, 3, 2), for l in (roll, pitch, yaw): the
+    composed rotation with one elementary factor differentiated."""
+    angles = tuple(float(x) for x in theta)
+    rx, ry, rz = elementary_rotations(*angles)
+    drx, dry, drz = elementary_rotations(*angles, order=1)
+    return np.stack([(rz @ ry @ drx)[:, :2], (rz @ dry @ rx)[:, :2], (drz @ ry @ rx)[:, :2]])
+
+
+def rotation_basis_second_derivatives(theta) -> np.ndarray:
+    """d2(basis)/d(theta_a)d(theta_b), (3, 3, 3, 2): the composed rotation
+    with the factor of each axis differentiated as often as the axis
+    occurs in (a, b)."""
+    angles = tuple(float(x) for x in theta)
+    # by_order[n][l]: n-th derivative of the elementary rotation about axis l
+    by_order = [elementary_rotations(*angles, order=n) for n in range(3)]
+    out = np.zeros((3, 3, 3, 2))
+    for a in range(3):
+        for b in range(a, 3):
+            rx, ry, rz = (by_order[(a == l) + (b == l)][l] for l in range(3))
+            out[a, b] = out[b, a] = (rz @ ry @ rx)[:, :2]
+    return out
 
 
 def finite_diff_gradient(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -116,7 +161,7 @@ def reduced_fisher_analytic(
     q_locals = scenario.pattern.local_positions(scenario.ms, scenario.lam)
     poses_raw = unpack_poses(gamma, k_count)
     for k, (p, theta) in enumerate(poses_raw):
-        basis = rotation_matrix_from_theta(theta)
+        basis = rotation_matrix(theta)[:, :2]
         dbasis = rotation_basis_derivatives(theta)
         for t in range(t_count):
             ant = p + basis @ q_locals[t]

@@ -26,8 +26,8 @@ from nearfield_pae.geometry import (
     canonicalize_euler,
     ms_antenna_global_position,
     ray_from_cosines,
+    rotation_bases,
     rotation_basis,
-    rotation_matrix_from_theta,
 )
 from oracles import finite_diff_gradient, finite_diff_hessian
 
@@ -140,7 +140,7 @@ class TestPoseFromAoas:
         assert "collinear_pattern" not in flags
         assert np.linalg.norm(fitted[:3] - pose.position) < 1e-3
         assert np.allclose(
-            rotation_matrix_from_theta(fitted[3:]),
+            rotation_bases(fitted[None, 3:])[0][0],
             rotation_basis(pose.attitude).matrix,
             atol=1e-3,
         )
@@ -240,6 +240,21 @@ class TestCosineFit:
             assert np.max(np.abs(grad - finite_diff_gradient(f, x))) < 1e-9
             assert np.allclose(hess, hess.T, rtol=0.0, atol=1e-15)
             assert np.max(np.abs(hess - finite_diff_hessian(f, x))) < 2e-5
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
+    def test_stacked_terms_equal_single_calls(self, seed, batch):
+        rng = np.random.default_rng(seed)
+        q = rng.normal(0.0, 0.05, (5, 2))
+        aoas = rng.uniform(-0.5, 0.5, (5, 2))
+        x = np.concatenate(
+            [rng.normal(0.0, 0.5, (batch, 3)) + [0.0, 0.0, 2.0], rng.uniform(-4, 4, (batch, 3))],
+            axis=1,
+        )
+        stacked = cosine_fit_terms(x, aoas, q)
+        assert np.array_equal(stacked[0], cosine_fit_terms(x, aoas, q, order=0))
+        for b in range(batch):
+            for part, one in zip(stacked, cosine_fit_terms(x[b : b + 1], aoas, q)):
+                assert np.max(np.abs(part[b] - one[0])) <= 1e-12 * np.max(np.abs(one[0]))
 
     def test_stacked_starts_equal_single_solves(self):
         sc = desk_scale_scenario(distance_range=(1.5, 2.5))

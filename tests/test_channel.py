@@ -8,7 +8,6 @@ from nearfield_pae.channel import (
     desk_scale_scenario,
     draw_poses,
     estimate_noise_power,
-    extract_subarray,
     load_signal,
     nearfield_channel_coeff,
     nearfield_channel_vector,
@@ -301,15 +300,6 @@ class TestSwffModel:
         rng = np.random.default_rng(5)
         sig = reduced_received(coeffs, self.plan, 1e-10, rng)
         assert np.mean(np.abs(sig.samples) ** 2) == pytest.approx(1e-10, rel=0.2)
-
-    def test_extract_subarray_layout(self):
-        sig = ReceivedSignal(
-            np.arange(self.sc.bs.n_antennas * 5, dtype=float).reshape(-1, 5)
-            + 0j
-        )
-        block = extract_subarray(sig, self.plan, 3, 2)
-        rows = self.plan.subarray_row_indices(3)
-        assert np.allclose(block, sig.samples[rows, 2])
 
 
 class TestNoiseCalibration:

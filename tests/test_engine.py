@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from nearfield_pae import engine
 from nearfield_pae.channel import (
@@ -26,6 +27,7 @@ from nearfield_pae.engine import (
     pose_gradient,
     pose_hessian,
     pose_objective,
+    pose_terms,
     procrustes_pose,
     project_pose_to_antennas,
     triangulate_init,
@@ -36,11 +38,16 @@ from nearfield_pae.geometry import (
     Pose,
     TransmitPattern,
     aoa_cosines,
+    rotation_bases,
     rotation_basis,
-    rotation_matrix_from_theta,
 )
 from nearfield_pae.partition import uniform_partition
-from oracles import composite_vm_grad, finite_diff_gradient, finite_diff_hessian
+from oracles import (
+    composite_vm_grad,
+    finite_diff_gradient,
+    finite_diff_hessian,
+    rotation_basis_derivatives,
+)
 
 
 def default_prior():
@@ -259,6 +266,22 @@ class TestPoseObjective:
             assert np.allclose(hess, hess.T)
             assert np.max(np.abs(hess - fd)) <= 1e-5 * max(1.0, np.max(np.abs(hess)))
 
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
+    def test_stacked_terms_equal_single_calls(self, seed, batch):
+        rng = np.random.default_rng(seed)
+        prior = PosePrior(50.0, np.array([0.1, -0.2, 0.3]), np.array([2.0, 1.0, 3.0]))
+        q = rng.normal(0, 0.05, (batch, 4, 2))
+        obs = rng.normal(0, 1, (batch, 4, 3)) + np.array([0, 0, 5.0])
+        weights = np.array([[_rand_spd(rng) for _ in range(4)] for _ in range(batch)])
+        weights[rng.random((batch, 4)) < 0.25] = 0.0  # dropped observations
+        x = np.concatenate([rng.normal(0, 2, (batch, 3)), rng.uniform(-4, 4, (batch, 3))], axis=1)
+        stacked = pose_terms(x, obs, weights, q, prior)
+        assert np.array_equal(stacked[0], pose_terms(x, obs, weights, q, prior, order=0))
+        for b in range(batch):
+            single = pose_terms(x[b : b + 1], obs[b : b + 1], weights[b : b + 1], q[b], prior)
+            for part, one in zip(stacked, single):
+                assert np.max(np.abs(part[b] - one[0])) <= 1e-12 * np.max(np.abs(one[0]))
+
     def test_noiseless_pose_recovery(self):
         sc, _ = desk_setup()
         q = sc.pattern.local_positions(sc.ms, sc.lam)
@@ -288,7 +311,7 @@ class TestPoseObjective:
         state.fused_prec[0] = np.tile(1e8 * np.eye(3), (len(q), 1, 1))
         state.fused_ok[0] = True
         update_pose_messages(state, q, cfg)
-        basis = rotation_matrix_from_theta(state.pose_mean[0, 0, 3:])
+        basis = rotation_bases(state.pose_mean[0, :1, 3:])[0][0]
         assert np.allclose(basis, np.eye(3)[:, :2], atol=1e-6)
 
     def test_collinear_pattern_flagged(self):
@@ -320,8 +343,8 @@ class TestProjection:
         cp = np.diag([1e-4, 2e-4, 3e-4])
         state.pose_cov_p[0, 0] = cp
         state.pose_cov_theta[0, 0] = np.zeros((3, 3))
-        belief = project_pose_to_antennas(state, 0, 0, np.array([0.05, -0.02]))
-        assert np.allclose(belief.cov, cp, atol=1e-18)
+        _, cov = project_pose_to_antennas(state, np.array([[0.05, -0.02]]))
+        assert np.allclose(cov[0, 0], cp, atol=1e-18)
 
     def test_center_antenna_passthrough(self):
         cfg = EstimatorConfig().resolve(desk_scale_scenario())
@@ -331,9 +354,9 @@ class TestProjection:
         ca = np.diag([1e-2, 1e-2, 1e-2])
         state.pose_cov_p[0, 0] = cp
         state.pose_cov_theta[0, 0] = ca
-        belief = project_pose_to_antennas(state, 0, 0, np.zeros(2))
-        assert np.allclose(belief.mean, [1.0, 2.0, 5.0])
-        assert np.allclose(belief.cov, cp, atol=1e-18)
+        mean, cov = project_pose_to_antennas(state, np.zeros((1, 2)))
+        assert np.allclose(mean[0, 0], [1.0, 2.0, 5.0])
+        assert np.allclose(cov[0, 0], cp, atol=1e-18)
 
     def test_linearized_covariance_formula(self):
         rng = np.random.default_rng(2)
@@ -347,12 +370,32 @@ class TestProjection:
         ca = _rand_spd(rng) * 1e-4
         state.pose_cov_p[0, 0] = cp
         state.pose_cov_theta[0, 0] = ca
-        belief = project_pose_to_antennas(state, 0, 0, q)
-        from nearfield_pae.geometry import rotation_basis_derivatives
-
+        _, cov = project_pose_to_antennas(state, q[None])
         deriv = rotation_basis_derivatives(theta)
         q_mat = np.stack([deriv[a] @ q for a in range(3)], axis=1)
-        assert np.allclose(belief.cov, cp + q_mat @ ca @ q_mat.T, atol=1e-15)
+        assert np.allclose(cov[0, 0], cp + q_mat @ ca @ q_mat.T, atol=1e-15)
+
+    def test_every_cell_matches_the_per_cell_formula(self):
+        rng = np.random.default_rng(4)
+        cfg = EstimatorConfig().resolve(desk_scale_scenario())
+        state = init_messages(1, 2, 5, cfg)
+        state.pose_mean[:] = np.concatenate(
+            [rng.normal(0, 2, (2, 5, 3)), rng.uniform(-3, 3, (2, 5, 3))], axis=-1
+        )
+        state.pose_cov_p[:] = [[_rand_spd(rng) * 1e-4 for _ in range(5)] for _ in range(2)]
+        state.pose_cov_theta[:] = [[_rand_spd(rng) * 1e-4 for _ in range(5)] for _ in range(2)]
+        q = rng.normal(0, 0.05, (5, 2))
+        mean, cov = project_pose_to_antennas(state, q)
+        assert mean.shape == (2, 5, 3) and cov.shape == (2, 5, 3, 3)
+        for k, t in np.ndindex(2, 5):
+            pose = state.pose_mean[k, t]
+            deriv = rotation_basis_derivatives(pose[3:])
+            q_mat = np.stack([deriv[a] @ q[t] for a in range(3)], axis=1)
+            expected = state.pose_cov_p[k, t] + q_mat @ state.pose_cov_theta[k, t] @ q_mat.T
+            offset = rotation_bases(pose[None, 3:])[0][0] @ q[t]
+            assert np.allclose(mean[k, t], pose[:3] + offset, rtol=0.0, atol=1e-14)
+            assert np.allclose(cov[k, t], expected, rtol=1e-12, atol=1e-18)
+            assert np.array_equal(cov[k, t], cov[k, t].T)
 
 
 class TestFeedback:

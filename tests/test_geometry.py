@@ -24,13 +24,18 @@ from nearfield_pae.geometry import (
     pattern_three_point,
     ray_from_cosines,
     rayleigh_distance,
+    rigid_antenna_chain,
+    rotation_bases,
     rotation_basis,
-    rotation_basis_derivatives,
-    rotation_matrix,
-    rotation_matrix_from_theta,
     vec_index,
     wavelength,
     wrap_angle,
+)
+
+from oracles import (
+    rotation_basis_derivatives,
+    rotation_basis_second_derivatives,
+    rotation_matrix,
 )
 
 C = 299_792_458.0
@@ -149,14 +154,12 @@ class TestRotation:
         h = 1e-7
         for _ in range(50):
             theta = rng.uniform(-1.2, 1.2, 3)
-            deriv = rotation_basis_derivatives(theta)
+            deriv = rotation_bases(theta[None], order=1)[1][0]
             for axis in range(3):
                 tp, tm = theta.copy(), theta.copy()
                 tp[axis] += h
                 tm[axis] -= h
-                fd = (
-                    rotation_matrix_from_theta(tp) - rotation_matrix_from_theta(tm)
-                ) / (2 * h)
+                fd = (rotation_bases(tp[None])[0][0] - rotation_bases(tm[None])[0][0]) / (2 * h)
                 assert np.max(np.abs(deriv[axis] - fd)) < 1e-6
 
     def test_euler_round_trip(self):
@@ -167,7 +170,7 @@ class TestRotation:
                 rng.uniform(-np.pi / 2 + 0.01, np.pi / 2 - 0.01),
                 rng.uniform(-np.pi, np.pi),
             )
-            back = euler_from_rotation(rotation_matrix(angles))
+            back = euler_from_rotation(rotation_matrix(angles.as_array()))
             assert np.allclose(back.as_array(), angles.as_array(), atol=1e-12)
 
     @given(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
@@ -186,7 +189,8 @@ class TestRotation:
             ]
         )
         assume(abs(r3[2, 0]) < 1.0 - 1e-6)
-        assert np.allclose(rotation_matrix(euler_from_rotation(r3)), r3, rtol=0.0, atol=1e-9)
+        back = euler_from_rotation(r3).as_array()
+        assert np.allclose(rotation_matrix(back), r3, rtol=0.0, atol=1e-9)
 
     def test_canonicalize_preserves_rotation(self):
         rng = np.random.default_rng(9)
@@ -195,7 +199,7 @@ class TestRotation:
             canon = canonicalize_euler(theta)
             assert abs(canon.pitch) <= np.pi / 2
             assert np.allclose(
-                rotation_matrix_from_theta(theta),
+                rotation_bases(theta[None])[0][0],
                 rotation_basis(canon).matrix,
                 atol=1e-12,
             )
@@ -208,6 +212,77 @@ class TestRotation:
         angles = EulerAngles(3 * np.pi, 0.0, -3 * np.pi)
         assert angles.roll == pytest.approx(-np.pi)
         assert angles.yaw == pytest.approx(-np.pi)
+
+
+_ANGLE = st.floats(-10.0, 10.0)
+# pitch at a gimbal pole (within 1e-3 of +-pi/2) or anywhere in [-10, 10]
+_PITCH = st.one_of(
+    st.builds(
+        lambda pole, offset: pole * np.pi / 2 + offset,
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(-1e-3, 1e-3),
+    ),
+    _ANGLE,
+)
+_ATTITUDES = st.lists(st.tuples(_ANGLE, _PITCH, _ANGLE), min_size=1, max_size=6).map(np.array)
+
+
+class TestRotationBases:
+    """The stacked rotation kernel against products of elementary
+    rotations, row by row and by central differences."""
+
+    @given(_ATTITUDES)
+    def test_matches_oracle_at_every_order(self, theta):
+        bases, first, second = rotation_bases(theta, order=2)
+        for b, row in enumerate(theta):
+            assert np.max(np.abs(bases[b] - rotation_matrix(row)[:, :2])) <= 1e-14
+            assert np.max(np.abs(first[b] - rotation_basis_derivatives(row))) <= 1e-14
+            assert np.max(np.abs(second[b] - rotation_basis_second_derivatives(row))) <= 1e-14
+        for order in (0, 1):
+            lower = rotation_bases(theta, order)
+            assert np.array_equal(lower[0], bases)
+            assert lower[2] is None and (lower[1] is None) == (order == 0)
+        assert np.array_equal(rotation_bases(theta, 1)[1], first)
+
+    @given(_ATTITUDES)
+    def test_stack_equals_rows(self, theta):
+        for order in (0, 1, 2):
+            stacked = rotation_bases(theta, order)
+            for b in range(len(theta)):
+                single = rotation_bases(theta[b : b + 1], order)
+                for part, one in zip(stacked, single):
+                    assert (part is None and one is None) or np.array_equal(part[b], one[0])
+
+    @given(_ATTITUDES)
+    def test_second_derivatives_symmetric_and_match_first(self, theta):
+        _, _, second = rotation_bases(theta, order=2)
+        assert np.array_equal(second, np.swapaxes(second, 1, 2))
+        h = 1e-5
+        for c in range(3):
+            step = h * np.eye(3)[c]
+            fd = (rotation_bases(theta + step, 1)[1] - rotation_bases(theta - step, 1)[1]) / (2 * h)
+            assert np.max(np.abs(second[:, :, c] - fd)) <= 1e-8
+
+
+class TestRigidAntennaChain:
+    def test_derivatives_match_central_differences(self):
+        rng = np.random.default_rng(29)
+        theta = rng.uniform(-3.0, 3.0, (3, 3))
+        q = rng.normal(0.0, 0.05, (3, 4, 2))
+        offsets, jac, second = rigid_antenna_chain(theta, q, order=2)
+        assert second.shape == (3, 4, 3, 3, 3)
+        assert np.array_equal(jac[..., :3], np.broadcast_to(np.eye(3), (3, 4, 3, 3)))
+        h = 1e-5
+        for c in range(3):
+            plus = rigid_antenna_chain(theta + h * np.eye(3)[c], q, order=1)
+            minus = rigid_antenna_chain(theta - h * np.eye(3)[c], q, order=1)
+            assert np.max(np.abs(jac[..., 3 + c] - (plus[0] - minus[0]) / (2 * h))) <= 1e-9
+            fd = (plus[1][..., 3:] - minus[1][..., 3:]) / (2 * h)
+            assert np.max(np.abs(second[..., c] - fd)) <= 1e-9
+        for order in (0, 1):
+            lower = rigid_antenna_chain(theta, q, order)
+            assert np.array_equal(lower[0], offsets) and lower[2] is None
+            assert (lower[1] is None) == (order == 0)
 
 
 class TestGlobalPositions:
@@ -311,6 +386,16 @@ class TestRayFromCosines:
     def test_outside_unit_disc_scaled_to_rim(self):
         ray = ray_from_cosines(np.array([1.2, 1.6]))
         assert np.allclose(ray, [0.6, 0.8, 0.0])
+
+    def test_stack_equals_rows(self):
+        rng = np.random.default_rng(23)
+        cosines = rng.uniform(-0.7, 0.7, (2, 4, 2))
+        cosines[1, 2] = [1.2, 1.6]  # outside the unit disc
+        stacked = ray_from_cosines(cosines)
+        assert stacked.shape == (2, 4, 3)
+        for index in np.ndindex(2, 4):
+            assert np.array_equal(stacked[index], ray_from_cosines(cosines[index]))
+        assert np.allclose(stacked[1, 2], [0.6, 0.8, 0.0])
 
 
 class TestDirectionCosineDerivatives:
