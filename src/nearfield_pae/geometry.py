@@ -211,12 +211,12 @@ class RotationBasis:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (3, 2):
             raise ValueError(f"rotation basis must be 3x2, got {m.shape}")
-        # column norms and their inner product from one Gram matrix
-        gram = m.T @ m
-        norms = np.sqrt(np.diag(gram))
-        if abs(norms[0] - 1.0) > 1e-9 or abs(norms[1] - 1.0) > 1e-9:
+        # squared column norms and their inner product from one Gram
+        # matrix; the negated tests also reject NaN entries
+        (sq_x, cross), (_, sq_y) = (m.T @ m).tolist()
+        if not (abs(math.sqrt(sq_x) - 1.0) <= 1e-9 and abs(math.sqrt(sq_y) - 1.0) <= 1e-9):
             raise ValueError("basis columns must be unit vectors")
-        if abs(gram[0, 1]) > 1e-9:
+        if not abs(cross) <= 1e-9:
             raise ValueError("basis columns must be orthogonal")
         object.__setattr__(self, "matrix", m)
 

@@ -5,6 +5,7 @@ from hypothesis import assume, given, strategies as st
 from nearfield_pae.geometry import (
     EulerAngles,
     Pose,
+    RotationBasis,
     TransmitPattern,
     UraSpec,
     aoa_cosines,
@@ -203,6 +204,13 @@ class TestRotation:
                 rotation_basis(canon).matrix,
                 atol=1e-12,
             )
+
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_nan_basis_rejected(self, row):
+        matrix = np.eye(3)[:, :2].copy()
+        matrix[row, 1] = np.nan
+        with pytest.raises(ValueError, match="unit vectors"):
+            RotationBasis(matrix)
 
     def test_pitch_outside_support_rejected(self):
         with pytest.raises(ValueError):
