@@ -145,6 +145,8 @@ class MetricRow:
     trials_failed: int
     trials_used: int
     wall_time_s: float
+    # bound trials that raised; like the wall time, not written to the CSV
+    bound_trials_failed: int = 0
 
 
 def apply_sweep_value(spec: SweepSpec, value) -> tuple:
@@ -231,7 +233,8 @@ def _run_trial(task: _TrialTask) -> dict:
 
 def run_sweep(spec: SweepSpec) -> list:
     """Execute the sweep and aggregate one `MetricRow` per (value,
-    estimator). Failed trials are excluded from averages and counted."""
+    estimator). Failed trials are excluded from averages and counted, and
+    so are bound trials that raise (`MetricRow.bound_trials_failed`)."""
     rows = []
     threads = spec.threads if spec.threads > 0 else (os.cpu_count() or 1)
     for point_index, value in enumerate(spec.values):
@@ -258,6 +261,7 @@ def run_sweep(spec: SweepSpec) -> list:
             results = [_run_trial(t) for t in tasks]
         elapsed = time.perf_counter() - start
         bound_vals = [r["bound"] for r in results if r.get("bound") is not None]
+        bound_failed = sum(1 for r in results if "bound_failure" in r)
         if bound_vals:
             bound_pos = float(np.sqrt(np.mean([b[0] for b in bound_vals])))
             bound_att = float(np.sqrt(np.mean([b[1] for b in bound_vals])))
@@ -284,6 +288,7 @@ def run_sweep(spec: SweepSpec) -> list:
                     trials_failed=failed,
                     trials_used=spec.trials - failed,
                     wall_time_s=elapsed,
+                    bound_trials_failed=bound_failed,
                 )
             )
     return rows

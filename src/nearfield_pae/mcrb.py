@@ -14,12 +14,14 @@ any estimator built on the reduced model.
 
 The reduced mean is linear in the gains, one K-column block of steering
 vectors per (subarray, slot). The pseudotrue fit eliminates each block's
-gains in closed form and minimizes the remaining function of the pose with
-its analytic gradient (variable projection, Golub & Pereyra, SIAM J.
-Numer. Anal. 1973). The information matrices use analytic first and second
-derivatives of the steering phases. Both work block by block; the program
-never builds the dense (N_B T, M K T) embedding (`reduced_embedding`),
-which the tests' dense-mean and Fisher oracles are built on.
+gains in closed form (variable projection, Golub & Pereyra, SIAM J.
+Numer. Anal. 1973) and fits the pose by Gauss-Newton steps on Kaufman's
+projected Jacobian (Kaufman, BIT 1975), run by the estimator's Newton
+solver `circular.newton_fits`. The information matrices use analytic
+first and second derivatives of the steering phases. Both work block by
+block; the program never builds the dense (N_B T, M K T) embedding
+(`reduced_embedding`), which the tests' dense-mean and Fisher oracles are
+built on.
 
 Parameter packing: ``gamma = [p_1, .., p_K, theta_1, .., theta_K]`` (6K
 reals), and ``gamma_FF`` appends Re/Im of every per-(subarray, MS, slot)
@@ -39,6 +41,7 @@ from .channel import (
     reduced_coefficients,
     subarray_steering,
 )
+from .circular import GaOptions, newton_fits
 from .geometry import (
     Pose,
     bs_antenna_grid,
@@ -142,13 +145,8 @@ def true_gain_vector(
     coeffs = reduced_coefficients(
         scenario, plan, poses_from_gamma(gamma, scenario.num_ms), validate=False
     )
-    m_count, k_count, t_count = coeffs.shape
-    c = np.zeros(m_count * k_count * t_count, dtype=np.complex128)
-    for m in range(m_count):
-        for k in range(k_count):
-            for t in range(t_count):
-                c[gain_index(m, k, t, k_count, t_count)] = coeffs.gains[m, k, t]
-    return c
+    # gain_index is C order over (M, K, T)
+    return np.array(coeffs.gains, dtype=np.complex128).reshape(-1)
 
 
 def pack_extended(gamma: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -197,13 +195,15 @@ def _steering_blocks(antennas, first, second, group: SubarrayGroup):
 
     The steering phase is pi (i phi_x + j phi_y), so da/dgamma = j dphase a
     with dphase (G, K, T, N, 6) from the cosines' Jacobian in the antenna
-    position. With second antenna derivatives, also returns d2phi
-    (G, K, T, 2, 6, 6), the second derivatives of the direction cosines;
-    else None.
+    position; None without first antenna derivatives. With second antenna
+    derivatives, also returns d2phi (G, K, T, 2, 6, 6), the second
+    derivatives of the direction cosines; else None.
     """
     diff = antennas[None] - group.refs[:, None, None, :]
     phi, dphi_dant = direction_cosine_derivatives(diff)
     steer = np.exp(1j * np.pi * (phi @ group.ramps))
+    if first is None:
+        return steer, None, None
     dphi = dphi_dant @ first
     dphase = np.pi * np.einsum("ln,gktla->gktna", group.ramps, dphi)
     if second is None:
@@ -220,19 +220,26 @@ def _observed_blocks(mu: np.ndarray, group: SubarrayGroup, t_count: int) -> np.n
     return mu.reshape(t_count, -1)[:, group.rows].transpose(1, 0, 2)
 
 
-def _projected_residual(gamma, mu, scenario: ScenarioConfig, groups):
+def _projected_residual(gamma, mu, scenario: ScenarioConfig, groups, derivatives=True):
     """Variable projection of the reduced model onto ``mu``.
 
     Every (subarray, slot) block's K gains solve the K x K normal equations
-    of ||y - A c||^2. Returns the squared residual sum over blocks, its
-    exact gradient in ``gamma`` (-2 Re r^H (dA/dgamma) c: the derivative
-    through c drops out because r is orthogonal to range(A)) and the
-    gains in gain-vector order.
+    of ||y - A c||^2. Returns the squared residual sum over blocks, the
+    gains in gain-vector order and, with ``derivatives``, the exact
+    gradient in ``gamma`` and the Gauss-Newton matrix; else None for both.
+    With D = (dA/dgamma) c, the gradient is -2 Re D^H r (the derivative
+    through c drops out because r is orthogonal to range(A)), and the
+    Gauss-Newton matrix is 2 Re J^H J on Kaufman's projected Jacobian
+    J = -P D, P projecting each block off range(A) (Kaufman, BIT 1975).
     """
     k_count, t_count = scenario.num_ms, scenario.n_slots
-    antennas, first, _ = _antenna_derivatives(gamma, scenario, order=1)
+    n_pose = 6 * k_count
+    antennas, first, _ = _antenna_derivatives(gamma, scenario, 1 if derivatives else 0)
+    # D's columns: every MS's [position, attitude] in MS order
+    pose_cols = np.concatenate([_pose_columns(k, k_count) for k in range(k_count)])
     objective = 0.0
-    grad = np.zeros(6 * k_count)
+    grad = np.zeros(n_pose) if derivatives else None
+    gauss_newton = np.zeros((n_pose, n_pose)) if derivatives else None
     n_subarrays = sum(len(group.members) for group in groups)
     c_all = np.zeros(n_subarrays * k_count * t_count, dtype=np.complex128)
     for group in groups:
@@ -240,16 +247,26 @@ def _projected_residual(gamma, mu, scenario: ScenarioConfig, groups):
         y = _observed_blocks(mu, group, t_count)
         a_mat = steer.transpose(0, 2, 3, 1)
         a_herm = np.conj(steer).transpose(0, 2, 1, 3)
-        c = np.linalg.solve(a_herm @ a_mat, a_herm @ y[..., None])[..., 0]
+        gram = a_herm @ a_mat
+        c = np.linalg.solve(gram, a_herm @ y[..., None])[..., 0]
         resid = y - (a_mat @ c[..., None])[..., 0]
         objective += float(np.vdot(resid, resid).real)
-        weights = np.conj(resid)[:, None] * c.transpose(0, 2, 1)[..., None] * steer
-        # -2 Re(j w . dphase) = 2 Im(w . dphase)
-        per_ms = 2.0 * np.einsum("gktn,gktna->ka", weights, dphase).imag
-        for k in range(k_count):
-            grad[_pose_columns(k, k_count)] += per_ms[k]
         c_all[_block_gain_index(group, k_count, t_count)] = c
-    return objective, grad, c_all
+        if not derivatives:
+            continue
+        # D = j E with column (k, a) of E = c_k dphase_ka a_k, (G, T, N, 6K)
+        e = c.transpose(0, 2, 1)[..., None, None] * steer[..., None] * dphase
+        e = e.transpose(0, 2, 3, 1, 4).reshape(y.shape + (n_pose,))
+        e_herm = np.conj(e).swapaxes(-1, -2)
+        a_herm_e = a_herm @ e
+        # D^H P D = E^H E - (A^H E)^H (A^H A)^-1 A^H E, per block
+        projected = e_herm @ e - np.conj(a_herm_e).swapaxes(-1, -2) @ np.linalg.solve(
+            gram, a_herm_e
+        )
+        gauss_newton[np.ix_(pose_cols, pose_cols)] += 2.0 * projected.sum(axis=(0, 1)).real
+        # -2 Re D^H r = -2 Im E^H r
+        grad[pose_cols] -= 2.0 * (e_herm @ resid[..., None]).sum(axis=(0, 1))[:, 0].imag
+    return objective, c_all, grad, gauss_newton
 
 
 @dataclass
@@ -271,34 +288,64 @@ def pseudotrue_fit(
     sum ||y_mt - A_mt c_mt||^2, which is the KL divergence from the exact
     to the reduced model under white Gaussian noise up to a 1/noise-power
     factor. The gains are eliminated in closed form per block (variable
-    projection, Golub & Pereyra 1973), and BFGS, seeded at the truth (the
-    model mismatch is small in every valid scene), minimizes the remaining
-    pose function with its analytic gradient. The fit has converged when
-    every gradient entry is below STATIONARITY_TOL times ||mu_exact||^2,
-    whatever the optimizer reports about its line search.
-    """
-    from scipy.optimize import minimize
+    projection, Golub & Pereyra 1973), and `newton_fits`, seeded at the
+    truth (the model mismatch is small in every valid scene), ascends
+    -||r||^2 / ||mu_exact||^2 in the pose by Gauss-Newton steps on
+    Kaufman's projected Jacobian (`_projected_residual`). The fit has
+    converged when every gradient entry is below STATIONARITY_TOL times
+    ||mu_exact||^2, whatever the solver reports.
 
+    Raises ValueError when a subarray has fewer antennas than there are
+    MSs: its K gains per slot are then not identifiable.
+    """
+    k_count = scenario.num_ms
+    smallest = min(sub.nx * sub.ny for sub in plan.subarrays)
+    if smallest < k_count:
+        raise ValueError(
+            f"every subarray needs at least {k_count} antennas to identify the "
+            f"gains of {k_count} MSs, but the smallest has {smallest}"
+        )
     truth = np.asarray(truth, dtype=float)
     mu_exact = exact_mean(truth, scenario)
     power = float(np.vdot(mu_exact, mu_exact).real)
     groups = subarray_groups(plan)
+    # the solver's derivative evaluations by point: it evaluates the truth
+    # first and every point it moves to, so the fit's gains and gradient
+    # come from these without another evaluation
+    evaluations = {}
 
-    def scaled(gamma):
-        objective, grad, _ = _projected_residual(gamma, mu_exact, scenario, groups)
-        return objective / power, grad / power
+    def value(x, _):
+        objective, *_ = _projected_residual(
+            x[0], mu_exact, scenario, groups, derivatives=False
+        )
+        return np.array([-objective / power])
 
-    f0, _ = scaled(truth)
-    if f0 <= ZERO_RESIDUAL_TOL**2:
+    def derivatives(x, _):
+        objective, c, grad, gauss_newton = _projected_residual(
+            x[0], mu_exact, scenario, groups
+        )
+        evaluations[x[0].tobytes()] = (objective, grad, c)
+        return (
+            np.array([-objective / power]),
+            -grad[None] / power,
+            -gauss_newton[None] / power,
+        )
+
+    def evaluated(gamma):
+        if gamma.tobytes() not in evaluations:
+            derivatives(gamma[None], None)
+        return evaluations[gamma.tobytes()]
+
+    fit = newton_fits(
+        value, derivatives, truth[None], GaOptions(grad_tol=STATIONARITY_TOL)
+    )
+    if evaluated(truth)[0] / power <= ZERO_RESIDUAL_TOL**2:
         gamma = truth
         flags = ("zero_residual",)
     else:
-        gamma = minimize(
-            scaled, truth, jac=True, method="BFGS",
-            options={"gtol": STATIONARITY_TOL},
-        ).x
+        gamma = fit.mean[0]
         flags = ()
-    objective, grad, c = _projected_residual(gamma, mu_exact, scenario, groups)
+    objective, grad, c = evaluated(gamma)
     converged = bool(np.max(np.abs(grad)) <= STATIONARITY_TOL * power)
     if not converged:
         flags += ("descent_not_converged",)
@@ -494,7 +541,11 @@ def compute_bound(
     plan: PartitionPlan,
     noise_power_w: float | None = None,
 ) -> McrbResult:
-    """Convenience wrapper: pseudotrue fit, information matrices, bound."""
+    """Convenience wrapper: pseudotrue fit, information matrices, bound.
+
+    Raises ValueError when a subarray has fewer antennas than there are
+    MSs (`pseudotrue_fit`) or when the noise power is not positive
+    (`information_matrices`)."""
     truth = pack_poses(poses)
     fit = pseudotrue_fit(truth, scenario, plan)
     a_mat, b_mat, flags = information_matrices(

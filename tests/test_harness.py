@@ -196,6 +196,34 @@ class TestRunSweep:
         assert rows[0].trials_used == 2
         assert np.isfinite(rows[0].rmse_position)
 
+    def test_bound_failures_counted(self, monkeypatch):
+        # a bound that raises is counted per row and kept out of the bound
+        # average; the CSV does not carry the count
+        import nearfield_pae.mcrb as mcrb
+
+        original_bound = mcrb.compute_bound
+        counter = {"n": 0}
+
+        def flaky_bound(*args, **kwargs):
+            counter["n"] += 1
+            if counter["n"] == 2:
+                raise np.linalg.LinAlgError("synthetic bound failure")
+            return original_bound(*args, **kwargs)
+
+        monkeypatch.setattr(mcrb, "compute_bound", flaky_bound)
+        spec = tiny_sweep_spec(
+            trials=3, values=("10",), with_bound=True, bound_trials=3, threads=1
+        )
+        rows = run_sweep(spec)
+        assert counter["n"] == 3
+        assert rows[0].bound_trials_failed == 1
+        assert rows[0].trials_failed == 0
+        assert np.isfinite(rows[0].bound_position_rmse)
+        monkeypatch.setattr(mcrb, "compute_bound", original_bound)
+        clean = run_sweep(spec)
+        assert clean[0].bound_trials_failed == 0
+        assert "bound_trials_failed" not in rows_to_csv(rows)
+
     def test_seed_independence(self):
         # disjoint trial indices give independent noise streams
         rng_a = np.random.default_rng(np.random.SeedSequence([9, 0, 0]))

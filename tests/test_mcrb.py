@@ -3,7 +3,8 @@ import pytest
 from dataclasses import replace
 
 from nearfield_pae import mcrb
-from nearfield_pae.channel import desk_scale_scenario, draw_poses
+from nearfield_pae.channel import desk_scale_scenario, draw_poses, reduced_coefficients
+from nearfield_pae.circular import LaplaceFit
 from nearfield_pae.geometry import EulerAngles, Pose
 from nearfield_pae.mcrb import (
     compute_bound,
@@ -13,6 +14,7 @@ from nearfield_pae.mcrb import (
     lower_bound,
     pack_extended,
     pack_poses,
+    poses_from_gamma,
     pseudotrue_fit,
     reduced_embedding,
     true_gain_vector,
@@ -56,7 +58,7 @@ class TestPseudotrue:
         poses = draw_poses(sc, rng)
         truth = pack_poses(poses)
         mu = exact_mean(truth, sc)
-        _, _, c = _projected_residual(truth, mu, sc, subarray_groups(plan))
+        _, c, _, _ = _projected_residual(truth, mu, sc, subarray_groups(plan))
         emb = reduced_embedding(truth, sc, plan)
         n_b = sc.bs.n_antennas
         for mi in range(plan.n_subarrays):
@@ -131,7 +133,7 @@ class TestPseudotrue:
 
         # a generic point near the truth
         gamma = truth + np.random.default_rng(7).normal(0.0, 1e-3, truth.size)
-        objective, grad, _ = _projected_residual(gamma, mu, sc, subarray_groups(plan))
+        objective, _, grad, _ = _projected_residual(gamma, mu, sc, subarray_groups(plan))
         assert objective == pytest.approx(brute_objective(gamma), rel=1e-10)
         step = 1e-6
         oracle = np.zeros_like(gamma)
@@ -163,6 +165,152 @@ class TestPseudotrue:
         _, c_fit = unpack_extended(fit.gamma_ff, 1)
         c_true = true_gain_vector(truth, sc, plan)
         assert np.allclose(c_fit, c_true, rtol=1e-8)
+
+
+    def test_subarrays_smaller_than_ms_count_rejected(self):
+        # 1x1 subarrays cannot identify K=2 gains per slot; the bound used
+        # to raise LinAlgError from the singular Gram solve
+        sc, plan = small_scene(bs_n=4, mx=4, my=4, num_ms=2)
+        poses = draw_poses(sc, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="at least 2 antennas.*smallest has 1"):
+            pseudotrue_fit(pack_poses(poses), sc, plan)
+        with pytest.raises(ValueError, match="at least 2 antennas.*smallest has 1"):
+            compute_bound(poses, sc, plan)
+
+    def test_true_gain_vector_matches_gain_index_loop(self):
+        sc, plan = small_scene(bs_n=8, mx=2, my=2, num_ms=2)
+        truth = pack_poses(draw_poses(sc, np.random.default_rng(10)))
+        coeffs = reduced_coefficients(
+            sc, plan, poses_from_gamma(truth, sc.num_ms), validate=False
+        )
+        m_count, k_count, t_count = coeffs.shape
+        loop = np.zeros(m_count * k_count * t_count, dtype=np.complex128)
+        for m in range(m_count):
+            for k in range(k_count):
+                for t in range(t_count):
+                    loop[gain_index(m, k, t, k_count, t_count)] = coeffs.gains[m, k, t]
+        c = true_gain_vector(truth, sc, plan)
+        assert c.dtype == loop.dtype
+        assert np.array_equal(c, loop)
+        assert not np.shares_memory(c, coeffs.gains)
+
+
+class TestGaussNewtonFit:
+    @staticmethod
+    def generic_point(num_ms):
+        sc, plan = small_scene(bs_n=8, mx=2, my=2, num_ms=num_ms)
+        truth = pack_poses(draw_poses(sc, np.random.default_rng(11)))
+        return sc, plan, truth
+
+    @pytest.mark.parametrize("num_ms", [1, 2])
+    def test_gauss_newton_matrix_matches_brute_force(self, num_ms):
+        """2 Re(D^H P D) with D the central differences of the dense
+        reduced mean in the pose at fixed gains and P each dense block's
+        projector off its steering columns, entry (a, b) measured in units
+        of sqrt(H_aa H_bb)."""
+        sc, plan, truth = self.generic_point(num_ms)
+        mu = exact_mean(truth, sc)
+        gamma = truth + np.random.default_rng(12).normal(0.0, 1e-3, truth.size)
+        objective, c, grad, gauss_newton = _projected_residual(
+            gamma, mu, sc, subarray_groups(plan)
+        )
+        n_pose, n_b = gamma.size, sc.bs.n_antennas
+        step = 1e-6
+        d_mat = np.zeros((mu.size, n_pose), dtype=complex)
+        for a in range(n_pose):
+            gp, gm = gamma.copy(), gamma.copy()
+            gp[a] += step
+            gm[a] -= step
+            d_mat[:, a] = (
+                reduced_mean(pack_extended(gp, c), sc, plan)
+                - reduced_mean(pack_extended(gm, c), sc, plan)
+            ) / (2 * step)
+        emb = reduced_embedding(gamma, sc, plan)
+        oracle = np.zeros((n_pose, n_pose))
+        for mi in range(plan.n_subarrays):
+            rows = plan.subarray_row_indices(mi + 1).ravel()
+            for t in range(sc.n_slots):
+                r_idx = t * n_b + rows
+                cols = [gain_index(mi, k, t, sc.num_ms, sc.n_slots) for k in range(sc.num_ms)]
+                phi = emb[np.ix_(r_idx, cols)]
+                proj = np.eye(rows.size) - phi @ np.linalg.pinv(phi)
+                block = d_mat[r_idx]
+                oracle += 2.0 * np.real(block.conj().T @ proj @ block)
+        unit = np.sqrt(np.outer(np.diag(oracle), np.diag(oracle)))
+        assert np.max(np.abs(gauss_newton - oracle) / unit) < 1e-6
+        assert np.all(np.linalg.eigvalsh(gauss_newton) > 0)
+
+    @pytest.mark.parametrize("num_ms", [1, 2])
+    def test_value_path_matches_derivative_path(self, num_ms):
+        sc, plan, truth = self.generic_point(num_ms)
+        mu = exact_mean(truth, sc)
+        groups = subarray_groups(plan)
+        gamma = truth + 1e-3
+        full = _projected_residual(gamma, mu, sc, groups)
+        value_only = _projected_residual(gamma, mu, sc, groups, derivatives=False)
+        assert value_only[0] == full[0]
+        assert np.array_equal(value_only[1], full[1])
+        assert value_only[2] is None and value_only[3] is None
+
+    def test_fit_matches_plain_gauss_newton(self):
+        """The fitted pose against undamped Gauss-Newton steps iterated
+        from the truth until the step stops shrinking (the rounding
+        floor). One MS only: at K=2 the stationarity test stops the fit
+        8.6e-8 short of that floor on this scene, and up to 2e-4 short on
+        other draws, where each step contracts the error by only 0.1-0.3."""
+        sc, plan, truth = self.generic_point(1)
+        mu = exact_mean(truth, sc)
+        groups = subarray_groups(plan)
+        reference = truth.copy()
+        steps = []
+        for _ in range(60):
+            _, _, grad, gauss_newton = _projected_residual(reference, mu, sc, groups)
+            step = np.linalg.solve(gauss_newton, -grad)
+            reference = reference + step
+            steps.append(np.linalg.norm(step))
+            if len(steps) > 8 and steps[-1] >= min(steps[:-1]):
+                break
+        fit = pseudotrue_fit(truth, sc, plan)
+        assert fit.converged and fit.flags == ()
+        assert np.max(np.abs(fit.gamma_ff[: truth.size] - reference)) < 1e-9
+
+    def test_no_point_evaluated_twice(self, monkeypatch):
+        """The fit's gains and gradient come from the solver's own
+        evaluations: no point is evaluated with derivatives twice."""
+        sc, plan, truth = self.generic_point(2)
+        points = []
+        original = mcrb._projected_residual
+
+        def recording(gamma, *args, **kwargs):
+            if kwargs.get("derivatives", True):
+                points.append(gamma.tobytes())
+            return original(gamma, *args, **kwargs)
+
+        monkeypatch.setattr(mcrb, "_projected_residual", recording)
+        fit = pseudotrue_fit(truth, sc, plan)
+        assert fit.converged
+        assert points[0] == truth.tobytes()
+        assert len(points) == len(set(points))
+
+    def test_descent_not_converged_when_solver_stops_at_start(self, monkeypatch):
+        sc, plan, truth = self.generic_point(1)
+
+        def stuck(value, derivatives, init, opts):
+            n = init.shape[-1]
+            return LaplaceFit(
+                mean=init.copy(),
+                cov=np.broadcast_to(np.eye(n), (1, n, n)),
+                precision=np.broadcast_to(np.eye(n), (1, n, n)),
+                converged=np.ones(1, dtype=bool),
+                regularized=np.zeros(1, dtype=bool),
+                n_polish_steps=np.zeros(1, dtype=int),
+            )
+
+        monkeypatch.setattr(mcrb, "newton_fits", stuck)
+        fit = pseudotrue_fit(truth, sc, plan)
+        assert not fit.converged
+        assert fit.flags == ("descent_not_converged",)
+        assert np.array_equal(fit.gamma_ff[: truth.size], truth)
 
 
 class TestInformationMatrices:
