@@ -27,7 +27,6 @@ from .channel import (
     watt_to_dbm,
 )
 from .circular import (
-    GaOptions,
     GaussianBelief,
     VmPair,
     VonMises,

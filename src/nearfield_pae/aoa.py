@@ -33,12 +33,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import subarray_steering
-from .circular import GaOptions, newton_fits, vm_normalize
+from .circular import newton_fits, vm_normalize
 
 # periodogram grid points per slice of the stack (one snapshot at least):
 # one fft2 over the 80 padded grids of a pass adds about 4 MB of peak
 # memory; 2**12 points take 64 kB, 1.6 ms per 80-snapshot start (2-core x86)
 _GRID_SLICE_POINTS = 2**12
+# a snapshot leaves the sweeps once no cosine of it moves by this much
+_MOVE_TOL = 1e-6
+# the ascents' `circular.newton_fits` settings: |grad F| < _GRAD_TOL |F|
+# sits at the attainable gradient, about sqrt(eps |F| |H|) ~ 1e-7 |F| on
+# 8x8 snapshots; below it the line search backtracks in vain (at 1e-8, a
+# third of this routine's time on apple-k2)
+_GRAD_TOL = 1e-7
+_MAX_ASCENT = 40
+_MAX_BACKTRACKS = 50
 
 
 @dataclass(frozen=True)
@@ -64,22 +73,16 @@ class AoaPosteriors:
 
 @dataclass(frozen=True)
 class AoaOptions:
-    """Sweep limits, the periodogram padding and the ascent's
-    `circular.GaOptions` (|grad F| < ``grad_tol`` |F|, ``max_ascent``
-    steps, ``max_backtracks``). ``grad_tol`` sits at the attainable
-    gradient, about sqrt(eps |F| |H|) ~ 1e-7 |F| on 8x8 snapshots; below
-    it the line search backtracks in vain (at 1e-8, a third of this
-    routine's time on apple-k2). Raises ValueError on a ``pad_factor``
-    that is not an integer >= 1."""
+    """The coordinate-ascent sweep limit and the periodogram padding.
+    Raises ValueError on a ``max_sweeps`` that is not an integer >= 0 or
+    a ``pad_factor`` that is not an integer >= 1."""
 
     max_sweeps: int = 20
-    move_tol: float = 1e-6
     pad_factor: int = 4
-    grad_tol: float = 1e-7
-    max_ascent: int = 40
-    max_backtracks: int = 50
 
     def __post_init__(self):
+        if not (isinstance(self.max_sweeps, (int, np.integer)) and self.max_sweeps >= 0):
+            raise ValueError(f"max_sweeps must be an integer >= 0, got {self.max_sweeps}")
         if not (isinstance(self.pad_factor, (int, np.integer)) and self.pad_factor >= 1):
             raise ValueError(f"pad_factor must be an integer >= 1, got {self.pad_factor}")
 
@@ -208,7 +211,7 @@ def estimate_aoa_posteriors(
     over the stack, `_GRID_SLICE_POINTS`); coordinate-ascent sweeps then
     refine them, sweep position j of every unconverged snapshot in one
     stacked Newton solve. A snapshot leaves the stack after the first
-    sweep that moved none of its cosines by more than ``move_tol``, so it
+    sweep that moved none of its cosines by ``_MOVE_TOL`` or more, so it
     runs the sweeps it would run alone; with one source, only a snapshot
     whose first ascent stopped unconverged sweeps at all.
 
@@ -229,9 +232,6 @@ def estimate_aoa_posteriors(
     every = np.arange(b_count)
     # (B, K): the source at each sweep position (lexsort is stable)
     order = np.lexsort((chi[..., 1], chi[..., 0], -np.sum(kappa, axis=-1)), axis=-1)
-    ga = GaOptions(
-        grad_tol=opts.grad_tol, max_polish=opts.max_ascent, max_backtracks=opts.max_backtracks
-    )
     phis = np.zeros((b_count, k_count, 2))
     coeffs = np.zeros((b_count, k_count), dtype=np.complex128)
 
@@ -244,7 +244,14 @@ def estimate_aoa_posteriors(
         def derivatives(x, idx):
             return _profiled_terms(resid[idx], x, *(a[idx] for a in args))
 
-        return newton_fits(value, derivatives, start, ga)
+        return newton_fits(
+            value,
+            derivatives,
+            start,
+            grad_tol=_GRAD_TOL,
+            max_polish=_MAX_ASCENT,
+            max_backtracks=_MAX_BACKTRACKS,
+        )
 
     def coeff_update(resid, rows, ks):
         g = _projections(resid, phis[rows, ks], order=0)
@@ -295,7 +302,7 @@ def estimate_aoa_posteriors(
         if diagnostics:
             for b, value in zip(active, joint_objective(active)):
                 traces[b].append(value)
-        active = active[max_move >= opts.move_tol]
+        active = active[max_move >= _MOVE_TOL]
 
     coeff_mean = np.empty_like(coeffs)
     kappa_post = np.empty_like(kappa)

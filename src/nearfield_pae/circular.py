@@ -7,8 +7,10 @@ scaled angle ``pi * phi``, closed under multiplication and "division"
 (extrinsic extraction), while position and pose beliefs are Gaussians
 obtained by Laplace approximation of composite log-densities. The
 Laplace fits run a damped Newton ascent on analytic Hessians over a
-stack of independent problems at once (`newton_fits`); `laplace_fit` is
-its one-problem view.
+stack of independent problems at once (`newton_fits`), the one solver
+behind every fit in the package; `laplace_fit` is its one-problem view.
+Callers set only the stationarity tolerance and the step limits, as
+keyword arguments.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ KAPPA_MAX = 1e12
 # |eigenvalue|: bounds the condition number of the modified Hessian by
 # 1e8, so the step stays accurate to about 1e-8 in double precision
 NEWTON_CURVATURE_FLOOR = 1e-8
+# the line search halves a rejected step and accepts one that gains at
+# least this fraction of the gain its slope predicts (Armijo)
+_BACKTRACK = 0.5
+_ARMIJO = 1e-4
 
 # asymptotic series I0(k) ~ e^k / sqrt(2 pi k) * sum a_n / k**n
 _I0_ASYMPTOTIC = (1.0, 1.0 / 8.0, 9.0 / 128.0, 225.0 / 3072.0, 11025.0 / 98304.0)
@@ -231,24 +237,6 @@ def gaussian_to_vm_stack(means, covs, refs):
     return vm_normalize(chi, np.where(endfire, KAPPA_MAX, kappa))
 
 
-@dataclass(frozen=True)
-class GaOptions:
-    """Controls of the damped Newton ascent behind every Laplace fit.
-
-    Each step is a modified Newton step (`modified_newton_direction`) on
-    the analytic Hessian, shortened by ``backtrack`` until the Armijo
-    condition with constant ``armijo`` holds (at most ``max_backtracks``
-    times). A problem has converged when |gradient| < ``grad_tol`` *
-    max(1, |f|); it stops after ``max_polish`` steps.
-    """
-
-    backtrack: float = 0.5
-    armijo: float = 1e-4
-    grad_tol: float = 1e-8
-    max_polish: int = 40
-    max_backtracks: int = 60
-
-
 @dataclass
 class LaplaceFit:
     """Result of `laplace_fit`: the Gaussian (mean, covariance and the
@@ -320,15 +308,22 @@ def modified_newton_direction(hess: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def newton_fits(
-    value, derivatives, init: np.ndarray, opts: GaOptions = GaOptions()
+    value,
+    derivatives,
+    init: np.ndarray,
+    *,
+    grad_tol: float = 1e-8,
+    max_polish: int = 40,
+    max_backtracks: int = 60,
 ) -> LaplaceFit:
     """Laplace fits of B independent log-densities in one stacked solve.
 
     Every problem ascends from its row of ``init`` (B, n) by modified
-    Newton steps on its analytic Hessian, each with its own Armijo
-    backtracking; the line searches of all problems share one call of
-    ``value`` per trial step. The covariance is the negated inverse of
-    the capped Hessian at the last point (`laplace_moments`).
+    Newton steps on its analytic Hessian (`modified_newton_direction`),
+    each with its own Armijo backtracking, halving the step at most
+    ``max_backtracks`` times; the line searches of all problems share one
+    call of ``value`` per trial step. The covariance is the negated
+    inverse of the capped Hessian at the last point (`laplace_moments`).
 
     Parameters
     ----------
@@ -340,10 +335,10 @@ def newton_fits(
         (b, n) and Hessians (b, n, n) at those points.
 
     Returns a `LaplaceFit` whose fields carry a leading problem axis. A
-    problem has converged when its gradient passes the ``grad_tol`` test
-    or its accepted step is below 1e-14 of max(1, |x|); it stops without
+    problem has converged when |gradient| < ``grad_tol`` max(1, |f|) or
+    its accepted step is below 1e-14 of max(1, |x|); it stops without
     converging when no backtracked step is accepted, or after
-    ``opts.max_polish`` steps.
+    ``max_polish`` steps.
     """
     x = np.array(init, dtype=float)
     every = np.arange(x.shape[0])
@@ -352,12 +347,12 @@ def newton_fits(
     def stationary(f, g):
         # objectives scale with the concentrations feeding them (up to
         # ~1e12), so the stationarity test must scale along
-        return np.linalg.norm(g, axis=-1) < opts.grad_tol * np.maximum(1.0, np.abs(f))
+        return np.linalg.norm(g, axis=-1) < grad_tol * np.maximum(1.0, np.abs(f))
 
     converged = stationary(f, g)
     stalled = np.zeros_like(converged)
     steps = np.zeros(x.shape[0], dtype=int)
-    for _ in range(opts.max_polish):
+    for _ in range(max_polish):
         active = np.flatnonzero(~converged & ~stalled)
         if active.size == 0:
             break
@@ -366,18 +361,18 @@ def newton_fits(
         step = np.ones(active.size)
         accepted = np.zeros(active.size, dtype=bool)
         pending = np.arange(active.size)
-        for _ in range(opts.max_backtracks):
+        for _ in range(max_backtracks):
             trial = x[active[pending]] + step[pending, None] * direction[pending]
             f_new = value(trial, active[pending])
             ok = np.isfinite(f_new) & (
-                f_new >= f[active[pending]] + opts.armijo * step[pending] * slope[pending]
+                f_new >= f[active[pending]] + _ARMIJO * step[pending] * slope[pending]
             )
             x[active[pending[ok]]] = trial[ok]
             accepted[pending[ok]] = True
             pending = pending[~ok]
             if pending.size == 0:
                 break
-            step[pending] *= opts.backtrack
+            step[pending] *= _BACKTRACK
         stalled[active[~accepted]] = True
         moved = active[accepted]
         if moved.size == 0:
@@ -401,10 +396,10 @@ def newton_fits(
     )
 
 
-def laplace_fit(
-    log_density, init: np.ndarray, grad, hess, opts: GaOptions = GaOptions()
-) -> LaplaceFit:
-    """Gaussian fit to one log-density: `newton_fits` on a single problem.
+def laplace_fit(log_density, init: np.ndarray, grad, hess, **settings) -> LaplaceFit:
+    """Gaussian fit to one log-density: `newton_fits` on a single problem,
+    with its keyword ``settings`` (``grad_tol``, ``max_polish``,
+    ``max_backtracks``).
 
     Parameters
     ----------
@@ -429,4 +424,4 @@ def laplace_fit(
             np.asarray(hess(p), dtype=float).reshape(1, n, n),
         )
 
-    return newton_fits(value, derivatives, x0[None], opts).problem(0)
+    return newton_fits(value, derivatives, x0[None], **settings).problem(0)

@@ -16,11 +16,12 @@ One iteration alternates two stages over a partitioned BS array:
    antenna-position messages.
 
 Every Laplace fit is a damped Newton ascent on an analytic Hessian, and
-each stage solves all its problems at once (`circular.newton_fits`): the
-K*T fusion fits, the K*T leave-one-slot-out pose fits and the M*K*T
-leave-one-subarray-out fits, each the full composite with one subarray's
-concentrations masked to zero. After the final iteration the pose of
-each MS is the MAP point of the all-slots objective.
+each stage solves all its problems at once (`circular.newton_fits`, with
+its default settings): the K*T fusion fits, the K*T leave-one-slot-out
+pose fits and the M*K*T leave-one-subarray-out fits, each the full
+composite with one subarray's concentrations masked to zero. After the
+final iteration the pose of each MS is the MAP point of the all-slots
+objective, the K fits again in one stacked solve.
 
 Stage functions return their flags as (MS index, name) pairs, and `run`
 hands every MS its own flags on the returned `PoseEstimate`.
@@ -35,14 +36,10 @@ import numpy as np
 
 from .aoa import AoaOptions, estimate_aoa_posteriors, match_components
 from .channel import ReceivedSignal, ScenarioConfig
-from .circular import (
-    GaOptions,
-    gaussian_to_vm_stack,
-    information_product,
-    laplace_fit,
-    newton_fits,
-    vm_extrinsic_stack,
-)
+from .circular import gaussian_to_vm_stack, information_product, newton_fits, vm_extrinsic_stack
+
+# no stage calls it; the benchmark's tracer wraps `engine.laplace_fit` by name
+from .circular import laplace_fit  # noqa: F401
 from .geometry import (
     EulerAngles,
     Pose,
@@ -66,11 +63,14 @@ class EstimatorConfig:
 
     ``iterations = None`` resolves to one pass for a single MS and five
     for multiple MSs. ``coeff_prior_var = None`` resolves to the nominal
-    link budget at ``nominal_range``. Position and attitude priors default
-    to non-informative values. Raises ValueError at construction on an
-    iteration count that is not an integer >= 1, a ``position_prior_std``
+    link budget at ``nominal_range``; ``inf`` is a flat amplitude prior.
+    Position and attitude priors default to non-informative values.
+    Raises ValueError at construction on an iteration count that is not
+    an integer >= 1, a ``sigma_ini`` that is not finite and positive, a
+    ``coeff_prior_var`` that is not positive, a ``position_prior_std``
     that is not positive, an ``attitude_prior_kappa`` that is not finite
     and >= 0, or a ``nominal_range`` that is not finite and positive.
+    Every Laplace fit uses the solver settings of `circular.newton_fits`.
     """
 
     iterations: int | None = None
@@ -80,14 +80,17 @@ class EstimatorConfig:
     attitude_prior_chi: tuple = (0.0, 0.0, 0.0)
     attitude_prior_kappa: tuple = (1e-6, 1e-6, 1e-6)
     nominal_range: float | None = None
-    # damped Newton on analytic Hessians for every Laplace fit
-    ga: GaOptions = GaOptions()
     aoa: AoaOptions = AoaOptions()
 
     def __post_init__(self):
         iters = self.iterations
         if iters is not None and not (isinstance(iters, (int, np.integer)) and iters >= 1):
             raise ValueError(f"iterations must be an integer >= 1, got {iters}")
+        if not (math.isfinite(self.sigma_ini) and self.sigma_ini > 0):
+            raise ValueError(f"sigma_ini must be finite and positive, got {self.sigma_ini}")
+        var = self.coeff_prior_var
+        if var is not None and not var > 0:
+            raise ValueError(f"coeff_prior_var must be positive (inf is a flat prior), got {var}")
         if not self.position_prior_std > 0:
             raise ValueError(f"position_prior_std must be positive, got {self.position_prior_std}")
         kappa = np.asarray(self.attitude_prior_kappa, dtype=float)
@@ -149,8 +152,6 @@ class MessageState:
 def init_messages(m_count: int, k_count: int, t_count: int, cfg: EstimatorConfig) -> MessageState:
     """Initial antenna-position messages: mean [0, 0, 1], covariance
     sigma_ini^2 I, identically for every (subarray, MS, slot)."""
-    if cfg.sigma_ini <= 0:
-        raise ValueError("sigma_ini must be positive")
     mean = np.zeros((m_count, k_count, t_count, 3))
     mean[..., 2] = 1.0
     cov = np.zeros((m_count, k_count, t_count, 3, 3))
@@ -212,7 +213,7 @@ def composite_vm_terms(
     return np.sum(curv, axis=(-2, -1)), grad, hess
 
 
-def composite_fits(refs, chis, kappas, inits, opts: GaOptions):
+def composite_fits(refs, chis, kappas, inits):
     """Laplace fits of stacked composites in one Newton solve: problem b
     has beliefs ``chis[b]``, ``kappas[b]`` (M, 2) and starts at
     ``inits[b]``."""
@@ -220,7 +221,6 @@ def composite_fits(refs, chis, kappas, inits, opts: GaOptions):
         lambda x, idx: composite_vm_value(x, refs, chis[idx], kappas[idx]),
         lambda x, idx: composite_vm_terms(x, refs, chis[idx], kappas[idx]),
         inits,
-        opts,
     )
 
 
@@ -305,7 +305,7 @@ def fuse_antenna_position(state: MessageState, plan: PartitionPlan, cfg: Estimat
     nonconverged, regularized, diverged = (np.zeros_like(ok) for _ in range(3))
     solve = np.flatnonzero(~flat)
     if solve.size:
-        fits = composite_fits(refs, chis[solve], kappas[solve], mean[solve], cfg.ga)
+        fits = composite_fits(refs, chis[solve], kappas[solve], mean[solve])
         nonconverged[solve] = ~fits.converged
         regularized[solve] = fits.regularized
         # a flat or conflicting composite can let the ascent run away;
@@ -402,44 +402,15 @@ def pose_terms(
     return value, grad, hess
 
 
-def _single_pose_terms(x, obs_means, obs_weights, q_locals, prior, order=2):
-    return pose_terms(
-        np.asarray(x)[None], obs_means[None], obs_weights[None], q_locals, prior, order
+def pose_fits(obs_means, obs_weights, q_locals, prior: PosePrior, inits):
+    """Laplace fits of stacked `pose_terms` problems in one Newton solve:
+    problem b has observations ``obs_means[b]``, ``obs_weights[b]`` and
+    starts at ``inits[b]``."""
+    return newton_fits(
+        lambda x, idx: pose_terms(x, obs_means[idx], obs_weights[idx], q_locals, prior, order=0),
+        lambda x, idx: pose_terms(x, obs_means[idx], obs_weights[idx], q_locals, prior),
+        inits,
     )
-
-
-def pose_objective(
-    x: np.ndarray,
-    obs_means: np.ndarray,
-    obs_weights: np.ndarray,
-    q_locals: np.ndarray,
-    prior: PosePrior,
-) -> float:
-    """log posterior of one (position, attitude) given Gaussian
-    antenna-position observations: `pose_terms` on a single problem."""
-    return float(_single_pose_terms(x, obs_means, obs_weights, q_locals, prior, 0)[0])
-
-
-def pose_gradient(
-    x: np.ndarray,
-    obs_means: np.ndarray,
-    obs_weights: np.ndarray,
-    q_locals: np.ndarray,
-    prior: PosePrior,
-) -> np.ndarray:
-    """Analytic gradient of `pose_objective`."""
-    return _single_pose_terms(x, obs_means, obs_weights, q_locals, prior)[1][0]
-
-
-def pose_hessian(
-    x: np.ndarray,
-    obs_means: np.ndarray,
-    obs_weights: np.ndarray,
-    q_locals: np.ndarray,
-    prior: PosePrior,
-) -> np.ndarray:
-    """Analytic Hessian of `pose_objective`."""
-    return _single_pose_terms(x, obs_means, obs_weights, q_locals, prior)[2][0]
 
 
 def procrustes_pose(obs_means: np.ndarray, q_locals: np.ndarray) -> np.ndarray:
@@ -488,13 +459,7 @@ def update_pose_messages(state: MessageState, q_locals: np.ndarray, cfg: Estimat
         init = state.pose_mean.reshape(-1, 6)
     else:
         init = np.array([procrustes_pose(o[u], q_locals[u]) for o, u in zip(obs, use)])
-    prior = _estimator_prior(cfg)
-    fits = newton_fits(
-        lambda x, idx: pose_terms(x, obs[idx], weights[idx], q_locals, prior, order=0),
-        lambda x, idx: pose_terms(x, obs[idx], weights[idx], q_locals, prior),
-        init,
-        cfg.ga,
-    )
+    fits = pose_fits(obs, weights, q_locals, _estimator_prior(cfg), init)
     state.pose_mean[:] = fits.mean.reshape(k_count, t_count, 6)
     state.pose_cov_p[:] = fits.cov[:, :3, :3].reshape(k_count, t_count, 3, 3)
     state.pose_cov_theta[:] = fits.cov[:, 3:, 3:].reshape(k_count, t_count, 3, 3)
@@ -554,7 +519,7 @@ def feedback_messages(state: MessageState, plan: PartitionPlan, cfg: EstimatorCo
     dropped = np.zeros_like(flat)
     solve = np.flatnonzero(~flat)
     if solve.size:
-        fits = composite_fits(refs, chis[solve], kappas[solve], inits[solve], cfg.ga)
+        fits = composite_fits(refs, chis[solve], kappas[solve], inits[solve])
         keep = np.flatnonzero(~fits.regularized)
         eta_prec = np.linalg.inv(eta_cov.reshape(-1, 3, 3)[solve[keep]])
         # a fit precision's rounding (eps times eigenvalues up to ~1e21)
@@ -681,24 +646,28 @@ class PoseEstimate:
 def final_map(
     state: MessageState, q_locals: np.ndarray, cfg: EstimatorConfig
 ) -> list:
-    """All-slots MAP pose per MS, seeded by the better of the closed-form
-    alignment fit and the last pose message."""
+    """All-slots MAP pose of every MS, in one stacked solve on
+    `pose_terms`. MS k starts from the better, by that objective, of the
+    closed-form alignment fit and its last pose message."""
     prior = _estimator_prior(cfg)
+    obs, weights = state.fused_mean, state.fused_prec
+    starts = np.array([procrustes_pose(o, q_locals) for o in obs])[:, None]
+    if state.have_pose:
+        starts = np.concatenate([starts, state.pose_mean[:, :1]], axis=1)  # (K, 2, 6)
+    k_count, count = starts.shape[:2]
+    scores = pose_terms(
+        starts.reshape(-1, 6),
+        np.repeat(obs, count, axis=0),
+        np.repeat(weights, count, axis=0),
+        q_locals,
+        prior,
+        order=0,
+    )
+    init = starts[np.arange(k_count), np.argmax(scores.reshape(k_count, count), axis=1)]
+    fits = pose_fits(obs, weights, q_locals, prior, init)
     out = []
-    for k in range(state.fused_mean.shape[0]):
-        obs = state.fused_mean[k]
-        w = state.fused_prec[k]
-        inits = [procrustes_pose(obs, q_locals)]
-        if state.have_pose:
-            inits.append(state.pose_mean[k, 0].copy())
-        scores = [pose_objective(x, obs, w, q_locals, prior) for x in inits]
-        fit = laplace_fit(
-            lambda x: pose_objective(x, obs, w, q_locals, prior),
-            inits[int(np.argmax(scores))],
-            grad=lambda x: pose_gradient(x, obs, w, q_locals, prior),
-            hess=lambda x: pose_hessian(x, obs, w, q_locals, prior),
-            opts=cfg.ga,
-        )
+    for k in range(k_count):
+        fit = fits.problem(k)
         attitude = canonicalize_euler(fit.mean[3:])
         flags = []
         if not fit.converged:

@@ -234,9 +234,20 @@ def _run_trial(task: _TrialTask) -> dict:
 def run_sweep(spec: SweepSpec) -> list:
     """Execute the sweep and aggregate one `MetricRow` per (value,
     estimator). Failed trials are excluded from averages and counted, and
-    so are bound trials that raise (`MetricRow.bound_trials_failed`)."""
-    rows = []
+    so are bound trials that raise (`MetricRow.bound_trials_failed`).
+    With more than one thread, every point runs on one process pool, so
+    the workers start and import their modules once per sweep."""
     threads = spec.threads if spec.threads > 0 else (os.cpu_count() or 1)
+    if threads > 1 and spec.trials > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return _sweep_rows(spec, pool.map)
+    return _sweep_rows(spec, map)
+
+
+def _sweep_rows(spec: SweepSpec, run_map) -> list:
+    """The sweep's rows, running each point's trials through ``run_map``
+    (``map`` or a pool's); ``wall_time_s`` times that call."""
+    rows = []
     for point_index, value in enumerate(spec.values):
         scenario, partition = apply_sweep_value(spec, value)
         estimator_config = spec.estimator_config.resolve(scenario)
@@ -254,11 +265,7 @@ def run_sweep(spec: SweepSpec) -> list:
             for trial in range(spec.trials)
         ]
         start = time.perf_counter()
-        if threads > 1 and spec.trials > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(_run_trial, tasks))
-        else:
-            results = [_run_trial(t) for t in tasks]
+        results = list(run_map(_run_trial, tasks))
         elapsed = time.perf_counter() - start
         bound_vals = [r["bound"] for r in results if r.get("bound") is not None]
         bound_failed = sum(1 for r in results if "bound_failure" in r)

@@ -41,7 +41,7 @@ from .channel import (
     reduced_coefficients,
     subarray_steering,
 )
-from .circular import GaOptions, newton_fits
+from .circular import newton_fits
 from .geometry import (
     Pose,
     bs_antenna_grid,
@@ -336,9 +336,7 @@ def pseudotrue_fit(
             derivatives(gamma[None], None)
         return evaluations[gamma.tobytes()]
 
-    fit = newton_fits(
-        value, derivatives, truth[None], GaOptions(grad_tol=STATIONARITY_TOL)
-    )
+    fit = newton_fits(value, derivatives, truth[None], grad_tol=STATIONARITY_TOL)
     if evaluated(truth)[0] / power <= ZERO_RESIDUAL_TOL**2:
         gamma = truth
         flags = ("zero_residual",)

@@ -37,8 +37,7 @@ from nearfield_pae.engine import (
     EstimatorConfig,
     PosePrior,
     composite_vm_value,
-    pose_gradient,
-    pose_objective,
+    pose_terms,
 )
 from nearfield_pae.geometry import (
     EulerAngles,
@@ -362,12 +361,11 @@ def test_criterion_5_gradient_checks():
     obs = rng.normal(0, 1, (5, 3)) + np.array([0, 0, 6.0])
     weights = np.array([_spd(rng) for _ in range(5)])
     for name, idx in (("leave_one_out", [0, 1, 2, 3]), ("final", [0, 1, 2, 3, 4])):
+        args = (obs[idx][None], weights[idx][None], q[idx], prior)
         for _ in range(100):
             x = np.concatenate([rng.normal(0, 2, 3), rng.uniform(-1.2, 1.2, 3)])
-            g = pose_gradient(x, obs[idx], weights[idx], q[idx], prior)
-            fd = finite_diff_gradient(
-                lambda v: pose_objective(v, obs[idx], weights[idx], q[idx], prior), x
-            )
+            g = pose_terms(x[None], *args)[1][0]
+            fd = finite_diff_gradient(lambda v: pose_terms(v[None], *args, order=0)[0], x)
             worst[name] = max(
                 worst[name], np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(g))
             )

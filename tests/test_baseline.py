@@ -4,7 +4,7 @@ from dataclasses import replace
 from hypothesis import example, given, strategies as st
 
 from nearfield_pae.baseline import (
-    _FIT_OPTIONS,
+    _FIT_GRAD_TOL,
     _START_ATTITUDES,
     cosine_fit_terms,
     farfield_aoa,
@@ -17,7 +17,7 @@ from nearfield_pae.channel import (
     draw_poses,
     simulate_received,
 )
-from nearfield_pae.circular import GaOptions, newton_fits
+from nearfield_pae.circular import newton_fits
 from nearfield_pae.geometry import (
     EulerAngles,
     Pose,
@@ -271,7 +271,7 @@ class TestCosineFit:
                 lambda x, _: cosine_fit_terms(x, tracks, q, order=0),
                 lambda x, _: cosine_fit_terms(x, tracks, q),
                 starts,
-                _FIT_OPTIONS,
+                grad_tol=_FIT_GRAD_TOL,
             )
 
         stacked = solve(init)
@@ -305,7 +305,8 @@ class TestCosineFit:
                 lambda x, _: cosine_fit_terms(x, tracks, q, order=0),
                 lambda x, _: cosine_fit_terms(x, tracks, q),
                 fitted[None],
-                GaOptions(grad_tol=0.0, max_polish=200),
+                grad_tol=0.0,
+                max_polish=200,
             )
             assert flags == [] and polished.converged[0]
             assert np.linalg.norm(polished.mean[0, :3] - fitted[:3]) < 1e-8

@@ -9,7 +9,6 @@ from scipy.special import i0e, i1e
 
 from nearfield_pae.circular import (
     KAPPA_MAX,
-    GaOptions,
     GaussianBelief,
     VonMises,
     gaussian_to_vm,
@@ -421,7 +420,7 @@ class TestLaplaceFit:
             np.zeros(2),
             grad=lambda x: np.array([2.0 * x[0], -2.0 * x[1]]),
             hess=lambda x: np.diag([2.0, -2.0]),
-            opts=GaOptions(max_polish=0),
+            max_polish=0,
         )
         assert fit.regularized
         vals = np.linalg.eigvalsh(fit.cov)
@@ -436,7 +435,7 @@ class TestLaplaceFit:
             np.zeros(1),
             grad=lambda x: np.ones(1),
             hess=lambda x: np.zeros((1, 1)),
-            opts=GaOptions(max_polish=3),
+            max_polish=3,
         )
         assert not fit.converged
 

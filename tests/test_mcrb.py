@@ -295,7 +295,7 @@ class TestGaussNewtonFit:
     def test_descent_not_converged_when_solver_stops_at_start(self, monkeypatch):
         sc, plan, truth = self.generic_point(1)
 
-        def stuck(value, derivatives, init, opts):
+        def stuck(value, derivatives, init, **settings):
             n = init.shape[-1]
             return LaplaceFit(
                 mean=init.copy(),

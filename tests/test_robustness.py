@@ -109,12 +109,30 @@ class TestEstimatorControls:
     passes), a zero prior
     std or pad factor raised a bare ZeroDivisionError inside `run` (a
     fractional pad factor a TypeError), and a negative attitude
-    concentration or a bad nominal range was used."""
+    concentration or a bad nominal range was used. A NaN or infinite
+    ``sigma_ini`` made `run` raise a misleading concentration error, a
+    bad amplitude prior variance failed only inside the angle stage, and
+    a negative sweep count ran as 0."""
 
     @pytest.mark.parametrize("iterations", [0, -1, 2.5])
     def test_iterations_below_one_rejected(self, iterations):
         with pytest.raises(ValueError, match="iterations"):
             EstimatorConfig(iterations=iterations)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+    def test_sigma_ini_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma_ini"):
+            EstimatorConfig(sigma_ini=sigma)
+
+    @pytest.mark.parametrize("var", [0.0, -1.0, np.nan])
+    def test_coeff_prior_var_rejected(self, var):
+        with pytest.raises(ValueError, match="coeff_prior_var"):
+            EstimatorConfig(coeff_prior_var=var)
+
+    @pytest.mark.parametrize("sweeps", [-1, 2.5])
+    def test_max_sweeps_rejected(self, sweeps):
+        with pytest.raises(ValueError, match="max_sweeps"):
+            AoaOptions(max_sweeps=sweeps)
 
     @pytest.mark.parametrize("std", [0.0, -1.0, np.nan])
     def test_position_prior_std_rejected(self, std):
@@ -142,6 +160,7 @@ class TestEstimatorControls:
             position_prior_std=2.0,
             attitude_prior_kappa=(0.0, 1.0, 0.0),
             nominal_range=3.0,
-            aoa=AoaOptions(pad_factor=1),
+            coeff_prior_var=np.inf,
+            aoa=AoaOptions(max_sweeps=0, pad_factor=1),
         )
         assert cfg.iterations == 1 and cfg.aoa.pad_factor == 1
