@@ -68,8 +68,9 @@ class EstimatorConfig:
     Raises ValueError at construction on an iteration count that is not
     an integer >= 1, a ``sigma_ini`` that is not finite and positive, a
     ``coeff_prior_var`` that is not positive, a ``position_prior_std``
-    that is not positive, an ``attitude_prior_kappa`` that is not finite
-    and >= 0, or a ``nominal_range`` that is not finite and positive.
+    that is not positive, an ``attitude_prior_chi`` that is not finite, an
+    ``attitude_prior_kappa`` that is not finite and >= 0, or a
+    ``nominal_range`` that is not finite and positive.
     Every Laplace fit uses the solver settings of `circular.newton_fits`.
     """
 
@@ -93,6 +94,8 @@ class EstimatorConfig:
             raise ValueError(f"coeff_prior_var must be positive (inf is a flat prior), got {var}")
         if not self.position_prior_std > 0:
             raise ValueError(f"position_prior_std must be positive, got {self.position_prior_std}")
+        if not np.all(np.isfinite(self.attitude_prior_chi)):
+            raise ValueError(f"attitude_prior_chi must be finite, got {self.attitude_prior_chi}")
         kappa = np.asarray(self.attitude_prior_kappa, dtype=float)
         if not np.all(np.isfinite(kappa) & (kappa >= 0)):
             raise ValueError(f"attitude_prior_kappa must be finite and >= 0, got {kappa}")

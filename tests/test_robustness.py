@@ -112,7 +112,8 @@ class TestEstimatorControls:
     concentration or a bad nominal range was used. A NaN or infinite
     ``sigma_ini`` made `run` raise a misleading concentration error, a
     bad amplitude prior variance failed only inside the angle stage, and
-    a negative sweep count ran as 0."""
+    a negative sweep count ran as 0. A NaN or infinite attitude prior
+    mean made `run` raise LinAlgError."""
 
     @pytest.mark.parametrize("iterations", [0, -1, 2.5])
     def test_iterations_below_one_rejected(self, iterations):
@@ -138,6 +139,11 @@ class TestEstimatorControls:
     def test_position_prior_std_rejected(self, std):
         with pytest.raises(ValueError, match="position_prior_std"):
             EstimatorConfig(position_prior_std=std)
+
+    @pytest.mark.parametrize("chi", [(np.nan, 0.0, 0.0), (0.0, 0.0, -np.inf)])
+    def test_attitude_prior_chi_rejected(self, chi):
+        with pytest.raises(ValueError, match="attitude_prior_chi"):
+            EstimatorConfig(attitude_prior_chi=chi)
 
     @pytest.mark.parametrize("kappa", [(-1.0, 0.0, 0.0), (0.0, np.nan, 0.0), (0.0, 0.0, np.inf)])
     def test_attitude_prior_kappa_rejected(self, kappa):
