@@ -41,13 +41,6 @@ from .circular import newton_fits, vm_normalize
 _GRID_SLICE_POINTS = 2**12
 # a snapshot leaves the sweeps once no cosine of it moves by this much
 _MOVE_TOL = 1e-6
-# the ascents' `circular.newton_fits` settings: |grad F| < _GRAD_TOL |F|
-# sits at the attainable gradient, about sqrt(eps |F| |H|) ~ 1e-7 |F| on
-# 8x8 snapshots; below it the line search backtracks in vain (at 1e-8, a
-# third of this routine's time on apple-k2)
-_GRAD_TOL = 1e-7
-_MAX_ASCENT = 40
-_MAX_BACKTRACKS = 50
 
 
 @dataclass(frozen=True)
@@ -244,14 +237,7 @@ def estimate_aoa_posteriors(
         def derivatives(x, idx):
             return _profiled_terms(resid[idx], x, *(a[idx] for a in args))
 
-        return newton_fits(
-            value,
-            derivatives,
-            start,
-            grad_tol=_GRAD_TOL,
-            max_polish=_MAX_ASCENT,
-            max_backtracks=_MAX_BACKTRACKS,
-        )
+        return newton_fits(value, derivatives, start)
 
     def coeff_update(resid, rows, ks):
         g = _projections(resid, phis[rows, ks], order=0)

@@ -86,13 +86,6 @@ def farfield_aoa(
     ]
 
 
-# newton_fits' default grad_tol (1e-8) stops this fit short in range: the
-# objective's range curvature is only about sum_t |q_t|^2 / r^4 (1e-5 at
-# 2 m, 1e-6 at 6 m), so a gradient g left at the stop leaves the range
-# about g / curvature from the optimum (up to 0.14 mm measured on 36
-# fixed desk trials at 1.5-2.5 m and 5-8 m). With 1e-14 the fit reaches
-# the optimum in at most about 20 Newton steps.
-_FIT_GRAD_TOL = 1e-14
 # roll in {0, pi} x yaw in {0, pi/2, pi, -pi/2}, pitch 0
 _START_ATTITUDES = np.array(
     [[roll, 0.0, yaw] for roll in (0.0, np.pi) for yaw in (0.0, np.pi / 2, np.pi, -np.pi / 2)]
@@ -165,7 +158,6 @@ def pose_from_aoas(
         lambda x, _: cosine_fit_terms(x, aoas, q_locals, order=0),
         lambda x, _: cosine_fit_terms(x, aoas, q_locals),
         init,
-        grad_tol=_FIT_GRAD_TOL,
     )
     value = cosine_fit_terms(fits.mean, aoas, q_locals, order=0)
     if np.any(fits.converged):

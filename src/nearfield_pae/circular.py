@@ -9,8 +9,10 @@ obtained by Laplace approximation of composite log-densities. The
 Laplace fits run a damped Newton ascent on analytic Hessians over a
 stack of independent problems at once (`newton_fits`), the one solver
 behind every fit in the package; `laplace_fit` is its one-problem view.
-Callers set only the stationarity tolerance and the step limits, as
-keyword arguments.
+The solver takes no settings and has one stop rule: a problem has
+converged when the gain its next Newton step predicts is within the
+rounding of its objective, or when its last step was within the
+rounding of its point.
 """
 
 from __future__ import annotations
@@ -29,6 +31,16 @@ NEWTON_CURVATURE_FLOOR = 1e-8
 # least this fraction of the gain its slope predicts (Armijo)
 _BACKTRACK = 0.5
 _ARMIJO = 1e-4
+# a problem has converged once the gain its next step predicts, the
+# Newton decrement 1/2 g^T B^-1 g, is at most the spacing of floating
+# point numbers at its objective, eps |f|: no comparison of values can
+# resolve a smaller gain (Boyd & Vandenberghe, Convex Optimization,
+# sec. 9.5.1), and relative to f the test is blind to f's scale. Keep it
+# within a few ulps: at 16 eps |f| a bound's pseudotrue fit stopped a
+# step short of mcrb's stationarity test
+_DECREMENT_TOL = np.finfo(float).eps
+_MAX_STEPS = 40
+_MAX_BACKTRACKS = 60
 
 # asymptotic series I0(k) ~ e^k / sqrt(2 pi k) * sum a_n / k**n
 _I0_ASYMPTOTIC = (1.0, 1.0 / 8.0, 9.0 / 128.0, 225.0 / 3072.0, 11025.0 / 98304.0)
@@ -307,21 +319,13 @@ def modified_newton_direction(hess: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (vecs @ coords[..., None])[..., 0]
 
 
-def newton_fits(
-    value,
-    derivatives,
-    init: np.ndarray,
-    *,
-    grad_tol: float = 1e-8,
-    max_polish: int = 40,
-    max_backtracks: int = 60,
-) -> LaplaceFit:
+def newton_fits(value, derivatives, init: np.ndarray) -> LaplaceFit:
     """Laplace fits of B independent log-densities in one stacked solve.
 
     Every problem ascends from its row of ``init`` (B, n) by modified
     Newton steps on its analytic Hessian (`modified_newton_direction`),
     each with its own Armijo backtracking, halving the step at most
-    ``max_backtracks`` times; the line searches of all problems share one
+    ``_MAX_BACKTRACKS`` times; the line searches of all problems share one
     call of ``value`` per trial step. The covariance is the negated
     inverse of the capped Hessian at the last point (`laplace_moments`).
 
@@ -335,39 +339,36 @@ def newton_fits(
         (b, n) and Hessians (b, n, n) at those points.
 
     Returns a `LaplaceFit` whose fields carry a leading problem axis. A
-    problem has converged when |gradient| < ``grad_tol`` max(1, |f|) or
-    its accepted step is below 1e-14 of max(1, |x|); it stops without
-    converging when no backtracked step is accepted, or after
-    ``max_polish`` steps.
+    problem has converged when the gain its next step predicts,
+    1/2 g^T B^-1 g with B the modified negated Hessian, is at most
+    eps |f| (the rounding of its log density f), or when its accepted
+    step is below 1e-14 of max(1, |x|). Scaling f by a positive constant
+    changes neither test. A problem stops without converging when no
+    backtracked step is accepted, or after ``_MAX_STEPS`` steps.
     """
     x = np.array(init, dtype=float)
     every = np.arange(x.shape[0])
     f, g, hess = (np.array(a, dtype=float) for a in derivatives(x, every))
-
-    def stationary(f, g):
-        # objectives scale with the concentrations feeding them (up to
-        # ~1e12), so the stationarity test must scale along
-        return np.linalg.norm(g, axis=-1) < grad_tol * np.maximum(1.0, np.abs(f))
-
-    converged = stationary(f, g)
+    # each problem's direction and slope g^T B^-1 g at its current point:
+    # its stop test and its next line search share them
+    direction = modified_newton_direction(hess, g)
+    slope = np.sum(g * direction, axis=-1)
+    converged = 0.5 * slope <= _DECREMENT_TOL * np.abs(f)
     stalled = np.zeros_like(converged)
     steps = np.zeros(x.shape[0], dtype=int)
-    for _ in range(max_polish):
+    for _ in range(_MAX_STEPS):
         active = np.flatnonzero(~converged & ~stalled)
         if active.size == 0:
             break
-        direction = modified_newton_direction(hess[active], g[active])
-        slope = np.sum(g[active] * direction, axis=-1)
         step = np.ones(active.size)
         accepted = np.zeros(active.size, dtype=bool)
         pending = np.arange(active.size)
-        for _ in range(max_backtracks):
-            trial = x[active[pending]] + step[pending, None] * direction[pending]
-            f_new = value(trial, active[pending])
-            ok = np.isfinite(f_new) & (
-                f_new >= f[active[pending]] + _ARMIJO * step[pending] * slope[pending]
-            )
-            x[active[pending[ok]]] = trial[ok]
+        for _ in range(_MAX_BACKTRACKS):
+            rows = active[pending]
+            trial = x[rows] + step[pending, None] * direction[rows]
+            f_new = value(trial, rows)
+            ok = np.isfinite(f_new) & (f_new >= f[rows] + _ARMIJO * step[pending] * slope[rows])
+            x[rows[ok]] = trial[ok]
             accepted[pending[ok]] = True
             pending = pending[~ok]
             if pending.size == 0:
@@ -377,10 +378,12 @@ def newton_fits(
         moved = active[accepted]
         if moved.size == 0:
             continue
+        taken = np.linalg.norm(step[accepted, None] * direction[moved], axis=-1)
         f[moved], g[moved], hess[moved] = derivatives(x[moved], moved)
+        direction[moved] = modified_newton_direction(hess[moved], g[moved])
+        slope[moved] = np.sum(g[moved] * direction[moved], axis=-1)
         steps[moved] += 1
-        taken = np.linalg.norm(step[accepted, None] * direction[accepted], axis=-1)
-        converged[moved] = stationary(f[moved], g[moved]) | (
+        converged[moved] = (0.5 * slope[moved] <= _DECREMENT_TOL * np.abs(f[moved])) | (
             taken < 1e-14 * np.maximum(1.0, np.linalg.norm(x[moved], axis=-1))
         )
 
@@ -396,10 +399,8 @@ def newton_fits(
     )
 
 
-def laplace_fit(log_density, init: np.ndarray, grad, hess, **settings) -> LaplaceFit:
-    """Gaussian fit to one log-density: `newton_fits` on a single problem,
-    with its keyword ``settings`` (``grad_tol``, ``max_polish``,
-    ``max_backtracks``).
+def laplace_fit(log_density, init: np.ndarray, grad, hess) -> LaplaceFit:
+    """Gaussian fit to one log-density: `newton_fits` on a single problem.
 
     Parameters
     ----------
@@ -424,4 +425,4 @@ def laplace_fit(log_density, init: np.ndarray, grad, hess, **settings) -> Laplac
             np.asarray(hess(p), dtype=float).reshape(1, n, n),
         )
 
-    return newton_fits(value, derivatives, x0[None], **settings).problem(0)
+    return newton_fits(value, derivatives, x0[None]).problem(0)

@@ -16,12 +16,12 @@ One iteration alternates two stages over a partitioned BS array:
    antenna-position messages.
 
 Every Laplace fit is a damped Newton ascent on an analytic Hessian, and
-each stage solves all its problems at once (`circular.newton_fits`, with
-its default settings): the K*T fusion fits, the K*T leave-one-slot-out
-pose fits and the M*K*T leave-one-subarray-out fits, each the full
-composite with one subarray's concentrations masked to zero. After the
-final iteration the pose of each MS is the MAP point of the all-slots
-objective, the K fits again in one stacked solve.
+each stage solves all its problems at once (`circular.newton_fits`):
+the K*T fusion fits, the K*T leave-one-slot-out pose fits and the M*K*T
+leave-one-subarray-out fits, each the full composite with one
+subarray's concentrations masked to zero. After the final iteration
+the pose of each MS is the MAP point of the all-slots objective, the K
+fits again in one stacked solve.
 
 Stage functions return their flags as (MS index, name) pairs, and `run`
 hands every MS its own flags on the returned `PoseEstimate`.
@@ -71,7 +71,6 @@ class EstimatorConfig:
     that is not positive, an ``attitude_prior_chi`` that is not finite, an
     ``attitude_prior_kappa`` that is not finite and >= 0, or a
     ``nominal_range`` that is not finite and positive.
-    Every Laplace fit uses the solver settings of `circular.newton_fits`.
     """
 
     iterations: int | None = None
@@ -286,9 +285,10 @@ def fuse_antenna_position(state: MessageState, plan: PartitionPlan, cfg: Estimat
     """Laplace-fit, for every (MS, slot), the product of all subarrays'
     cosine beliefs about that activated antenna, in one stacked solve.
 
-    Writes ``fused_mean``, ``fused_prec`` and ``fused_ok``; a flat or
-    runaway composite keeps its start point with precision
-    I / sigma_ini^2. Returns (MS, flag) pairs.
+    Writes ``fused_mean``, ``fused_prec`` and ``fused_ok``; a flat
+    composite, or one whose fit runs away or ends on or behind the BS
+    plane (z <= 0), keeps its start point with precision I / sigma_ini^2.
+    Returns (MS, flag) pairs.
     """
     m_count, k_count, t_count = state.shape
     refs = plan.reference_positions()
@@ -311,9 +311,13 @@ def fuse_antenna_position(state: MessageState, plan: PartitionPlan, cfg: Estimat
         fits = composite_fits(refs, chis[solve], kappas[solve], mean[solve])
         nonconverged[solve] = ~fits.converged
         regularized[solve] = fits.regularized
-        # a flat or conflicting composite can let the ascent run away;
-        # such a problem keeps its start with the non-informative precision
-        diverged[solve] = np.linalg.norm(fits.mean, axis=1) > 50.0 * cfg.nominal_range
+        # a flat or conflicting composite can let the ascent run away, and
+        # cosines see z only through |z|, so a start behind the BS plane
+        # ascends to the mirror image of a mode or onto the plane; such a
+        # problem keeps its start with the non-informative precision
+        diverged[solve] = (np.linalg.norm(fits.mean, axis=1) > 50.0 * cfg.nominal_range) | (
+            fits.mean[:, 2] <= 0.0
+        )
         kept = ~diverged[solve]
         mean[solve[kept]] = fits.mean[kept]
         prec[solve[kept]] = fits.precision[kept]

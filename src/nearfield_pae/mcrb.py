@@ -336,7 +336,7 @@ def pseudotrue_fit(
             derivatives(gamma[None], None)
         return evaluations[gamma.tobytes()]
 
-    fit = newton_fits(value, derivatives, truth[None], grad_tol=STATIONARITY_TOL)
+    fit = newton_fits(value, derivatives, truth[None])
     if evaluated(truth)[0] / power <= ZERO_RESIDUAL_TOL**2:
         gamma = truth
         flags = ("zero_residual",)

@@ -16,6 +16,7 @@ from nearfield_pae.circular import (
     laplace_fit,
     laplace_moments,
     log_i0,
+    newton_fits,
     vm_extrinsic,
     vm_extrinsic_stack,
     vm_log_pdf,
@@ -420,7 +421,6 @@ class TestLaplaceFit:
             np.zeros(2),
             grad=lambda x: np.array([2.0 * x[0], -2.0 * x[1]]),
             hess=lambda x: np.diag([2.0, -2.0]),
-            max_polish=0,
         )
         assert fit.regularized
         vals = np.linalg.eigvalsh(fit.cov)
@@ -435,7 +435,6 @@ class TestLaplaceFit:
             np.zeros(1),
             grad=lambda x: np.ones(1),
             hess=lambda x: np.zeros((1, 1)),
-            max_polish=3,
         )
         assert not fit.converged
 
@@ -500,6 +499,48 @@ class TestLaplaceFit:
             x = rng.uniform(-2, 2, 2)
             fd = finite_diff_gradient(f, x)
             assert np.linalg.norm(fd - g(x)) <= 1e-5 * max(1.0, np.linalg.norm(g(x)))
+
+
+class TestNewtonFits:
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_stop_rule_is_scale_free(self, seed):
+        """A log density and its multiples by 1e-12 and 1e12 have the same
+        maximizer, and the solver must take the same steps to it. The stop
+        leaves x within sqrt(2 eps |f| / curvature) of the maximizer, here
+        below 1e-6; undamped Newton steps from the fit locate it."""
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(4, 5, 3))
+        b = rng.normal(size=(4, 5))
+        init = rng.uniform(-3.0, 3.0, (4, 3))
+
+        def terms(x, idx):
+            # 5 - sum_j log cosh(a_j x - b_j) - x^T x / 20, concave
+            u = np.einsum("bjn,bn->bj", a[idx], x) - b[idx]
+            value = 5.0 - np.sum(np.logaddexp(u, -u) - math.log(2.0), axis=1)
+            value -= 0.05 * np.sum(x * x, axis=1)
+            grad = -np.einsum("bj,bjn->bn", np.tanh(u), a[idx]) - 0.1 * x
+            curv = 1.0 / np.cosh(u) ** 2
+            hess = -np.einsum("bj,bjn,bjm->bnm", curv, a[idx], a[idx]) - 0.1 * np.eye(3)
+            return value, grad, hess
+
+        fits = []
+        for scale in (1e-12, 1.0, 1e12):
+            fits.append(
+                newton_fits(
+                    lambda x, idx: scale * terms(x, idx)[0],
+                    lambda x, idx: tuple(scale * t for t in terms(x, idx)),
+                    init,
+                )
+            )
+        optimum = fits[1].mean
+        for _ in range(5):
+            _, grad, hess = terms(optimum, np.arange(4))
+            optimum = optimum - np.linalg.solve(hess, grad[..., None])[..., 0]
+        for fit in fits:
+            assert np.all(fit.converged)
+            assert np.array_equal(fit.n_polish_steps, fits[1].n_polish_steps)
+            assert np.allclose(fit.mean, fits[1].mean, rtol=0.0, atol=1e-10)
+            assert np.allclose(fit.mean, optimum, rtol=0.0, atol=1e-6)
 
 
 class TestHessianRegularization:

@@ -178,6 +178,29 @@ class TestCompositeObjective:
         assert state.fused_ok[0, 0]
         assert np.linalg.norm(state.fused_mean[0, 0] - p_true) < 1e-4
 
+    def test_fit_behind_bs_plane_rejected(self):
+        """Cosines see z only through |z|, so the mirror image of a mode
+        behind the BS plane is a mode too; a fit that ends there keeps its
+        start with the non-informative precision and is flagged."""
+        refs = np.array([[-0.08, 0.0, 0.0], [0.08, 0.0, 0.0]])
+        p_true = np.array([0.4, -0.3, 5.0])
+        chis, kappas = self.exact_extrinsics(p_true, refs)
+        cfg = EstimatorConfig(nominal_range=5.0).resolve(
+            desk_scale_scenario(distance_range=(4.0, 6.0))
+        )
+        state = init_messages(2, 1, 1, cfg)
+        state.ext_chi[:, 0, 0] = chis
+        state.ext_kappa[:, 0, 0] = kappas
+        # a previous iteration's fused point, mirrored behind the plane
+        state.iteration = 1
+        state.fused_ok[0, 0] = True
+        state.fused_mean[0, 0] = p_true * [1.0, 1.0, -1.0]
+        flags = fuse_antenna_position(state, _FakePlan(refs), cfg)
+        assert (0, "fusion_diverged_k0t0") in flags
+        assert not state.fused_ok[0, 0]
+        assert np.array_equal(state.fused_mean[0, 0], p_true * [1.0, 1.0, -1.0])
+        assert np.allclose(np.diag(np.linalg.inv(state.fused_prec[0, 0])), cfg.sigma_ini**2)
+
     def test_flat_composite_flagged(self):
         cfg = EstimatorConfig().resolve(desk_scale_scenario())
         state = init_messages(2, 1, 1, cfg)
@@ -575,12 +598,14 @@ class TestRunFlags:
         assert any(name.startswith("pose_near_singular_k0") for name in est.flags)
 
     def test_stage_flags_go_to_their_ms(self):
-        # an empty signal leaves every composite without a usable mode
+        # an empty signal leaves every composite without a usable mode:
+        # flat (the angle stage's extrinsic concentrations are rounding,
+        # at most ~1e-15), or fitted and flagged
         sc, plan = desk_setup(num_ms=2)
         silent = ReceivedSignal(np.zeros((sc.bs.n_antennas, sc.n_slots), dtype=complex))
         ests = engine.run(silent, sc, plan)
         for k, est in enumerate(ests):
-            assert any(name.startswith("fusion_") for name in est.flags)
+            assert any(name.startswith(("flat_composite", "fusion_")) for name in est.flags)
             assert len(set(est.flags)) == len(est.flags)
             other = 1 - k
             assert not any(f"k{other}t" in name for name in est.flags)
