@@ -600,7 +600,7 @@ class TestRunFlags:
     def test_stage_flags_go_to_their_ms(self):
         # an empty signal leaves every composite without a usable mode:
         # flat (the angle stage's extrinsic concentrations are rounding,
-        # at most ~1e-15), or fitted and flagged
+        # below 1e-14), or fitted and flagged
         sc, plan = desk_setup(num_ms=2)
         silent = ReceivedSignal(np.zeros((sc.bs.n_antennas, sc.n_slots), dtype=complex))
         ests = engine.run(silent, sc, plan)
