@@ -10,7 +10,7 @@ error lower bound and a far-field two-stage baseline.
 """
 
 from .aoa import AoaOptions, AoaPosteriors, estimate_aoa_posteriors
-from .baseline import FarFieldAoaEstimate, farfield_aoa, pose_from_aoas, run_baseline
+from .baseline import FarFieldAoas, farfield_aoa, pose_from_aoas, run_baseline
 from .channel import (
     ReceivedSignal,
     ScenarioConfig,

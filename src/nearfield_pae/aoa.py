@@ -39,6 +39,9 @@ from .circular import newton_fits, vm_normalize
 # one fft2 over the 80 padded grids of a pass adds about 4 MB of peak
 # memory; 2**12 points take 64 kB, 1.6 ms per 80-snapshot start (2-core x86)
 _GRID_SLICE_POINTS = 2**12
+# periodogram grid points per array element and axis: bins 1 / (2 nx)
+# apart, so a start lies inside the main lobe of any single source
+_PAD_FACTOR = 4
 # a snapshot leaves the sweeps once no cosine of it moves by this much
 _MOVE_TOL = 1e-6
 
@@ -66,18 +69,14 @@ class AoaPosteriors:
 
 @dataclass(frozen=True)
 class AoaOptions:
-    """The coordinate-ascent sweep limit and the periodogram padding.
-    Raises ValueError on a ``max_sweeps`` that is not an integer >= 0 or
-    a ``pad_factor`` that is not an integer >= 1."""
+    """The coordinate-ascent sweep limit. Raises ValueError on a
+    ``max_sweeps`` that is not an integer >= 0."""
 
     max_sweeps: int = 20
-    pad_factor: int = 4
 
     def __post_init__(self):
         if not (isinstance(self.max_sweeps, (int, np.integer)) and self.max_sweeps >= 0):
             raise ValueError(f"max_sweeps must be an integer >= 0, got {self.max_sweeps}")
-        if not (isinstance(self.pad_factor, (int, np.integer)) and self.pad_factor >= 1):
-            raise ValueError(f"pad_factor must be an integer >= 1, got {self.pad_factor}")
 
 
 def _projections(resid: np.ndarray, phi: np.ndarray, order: int = 2):
@@ -124,12 +123,12 @@ def _profiled_terms(resid, phi, chi, kappa, weight, order: int = 2):
     return f, grad, hess
 
 
-def _periodogram_starts(resid, chi, kappa, weight, pad_factor: int) -> np.ndarray:
+def _periodogram_starts(resid, chi, kappa, weight) -> np.ndarray:
     """Prior-weighted zero-padded periodogram peaks (B, 2) of stacked
-    residuals (B, nx, ny) over the (pad_factor nx, pad_factor ny) cosine
+    residuals (B, nx, ny) over the (_PAD_FACTOR nx, _PAD_FACTOR ny) cosine
     grid, built as DFT-matrix products slice by slice (_GRID_SLICE_POINTS)."""
     b_count, nx, ny = resid.shape
-    gx, gy = pad_factor * nx, pad_factor * ny
+    gx, gy = _PAD_FACTOR * nx, _PAD_FACTOR * ny
     phi_x = -1.0 + 2.0 * np.arange(gx) / gx
     phi_y = -1.0 + 2.0 * np.arange(gy) / gy
     dft_x = np.exp(-1j * np.pi * np.outer(phi_x, np.arange(1, nx + 1)))
@@ -263,9 +262,7 @@ def estimate_aoa_posteriors(
     resid = y.copy()
     for j in range(k_count):
         ks = order[:, j]
-        start = _periodogram_starts(
-            resid, chi[every, ks], kappa[every, ks], weights[every, ks], opts.pad_factor
-        )
+        start = _periodogram_starts(resid, chi[every, ks], kappa[every, ks], weights[every, ks])
         fits = ascend(resid, every, ks, start)
         phis[every, ks] = fits.mean
         coeffs[every, ks] = coeff_update(resid, every, ks)

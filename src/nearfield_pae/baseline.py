@@ -1,15 +1,16 @@
 """Two-stage far-field benchmark.
 
 Stage one treats the *entire* BS array as if every source were in its far
-field and estimates one direction-cosine pair per source with the
-estimator's own line-spectral routine (`aoa.estimate_aoa_posteriors`),
-run on the whole array with flat priors: each source starts at the
-periodogram peak of the running residual and is refined by joint
-coordinate-ascent sweeps. Stage two fits each MS pose to its per-slot
-cosine tracks by least squares, as one stacked analytic-Newton solve
-(`circular.newton_fits`, the estimator's own solver) from 8 fixed starts,
-with the attitude finalized by an orthogonal (SVD) alignment of the
-reconstructed antenna points.
+field and estimates one direction-cosine pair per source and slot with
+the estimator's own line-spectral routine (`aoa.estimate_aoa_posteriors`),
+one call over all slots' snapshots with flat priors: each source starts
+at the periodogram peak of the running residual and is refined by joint
+coordinate-ascent sweeps. The components of every slot are then matched
+to slot 0's, ordered by amplitude, to form one cosine track per MS.
+Stage two fits each MS pose to its cosine track by least squares, as one
+stacked analytic-Newton solve (`circular.newton_fits`, the estimator's
+own solver) from 8 fixed starts, with the attitude finalized by an
+orthogonal (SVD) alignment of the reconstructed antenna points.
 
 On genuinely planar wavefronts this recovers poses accurately. Inside the
 array's near field the common-angle assumption is wrong, but the
@@ -50,40 +51,47 @@ _NAN_COV = np.full((3, 3), np.nan)
 LOW_POWER_METRIC = 10.0
 
 
-@dataclass
-class FarFieldAoaEstimate:
-    """One extracted plane-wave component of a whole-array snapshot."""
+@dataclass(frozen=True)
+class FarFieldAoas:
+    """The extracted plane-wave components of T whole-array snapshots, in
+    the line-spectral routine's source order: cosines (phi_x, phi_y)
+    (T, K, 2), complex coefficients (T, K), peak metrics (T, K) and the
+    ``low_power`` mask (T, K)."""
 
-    cosines: np.ndarray  # (phi_x, phi_y)
-    coeff: complex
-    peak_metric: float
-    low_power: bool
+    cosines: np.ndarray
+    coeff: np.ndarray
+    peak_metric: np.ndarray
+    low_power: np.ndarray
 
 
 def farfield_aoa(
-    y_t: np.ndarray,
+    samples: np.ndarray,
     bs_spec: UraSpec,
     k_sources: int,
     noise_power: float,
-) -> list:
-    """Strongest ``k_sources`` plane-wave components of one snapshot.
+) -> FarFieldAoas:
+    """Strongest ``k_sources`` plane-wave components of every snapshot.
 
-    Runs the estimator's line-spectral routine on the whole array with
-    flat priors: von Mises concentration 0 on both cosines and an
-    infinite amplitude prior variance, so the profiled objective is the
-    plain periodogram |g|^2 / (N sigma^2) and the coefficient is g / N.
-    A component whose peak metric N |coeff|^2 / sigma^2 falls below
+    ``samples`` (N_B, T) holds one whole-array snapshot per column (a
+    single snapshot may be given as an (N_B,) vector). Runs the
+    estimator's line-spectral routine on all T snapshots in one call with
+    flat priors: von Mises concentration 0 on both cosines and an infinite
+    amplitude prior variance, so the profiled objective is the plain
+    periodogram |g|^2 / (N sigma^2) and the coefficient is g / N. A
+    component whose peak metric N |coeff|^2 / sigma^2 falls below
     `LOW_POWER_METRIC` is flagged ``low_power``. Raises ValueError on a
     non-finite sample or a noise power that is not finite and positive.
     """
-    y_mat = np.asarray(y_t).reshape(bs_spec.ny, bs_spec.nx).T
-    flat = np.zeros((1, k_sources, 2))
-    post = estimate_aoa_posteriors(y_mat[None], [noise_power], flat, flat, flat[..., 0] + math.inf)
-    metrics = bs_spec.n_antennas * np.abs(post.coeff_mean[0]) ** 2 / noise_power
-    return [
-        FarFieldAoaEstimate(cosines, complex(coeff), float(metric), bool(metric < LOW_POWER_METRIC))
-        for cosines, coeff, metric in zip(post.cosines[0], post.coeff_mean[0], metrics)
-    ]
+    y = np.asarray(samples).reshape(bs_spec.n_antennas, -1)
+    # column t in vec order (u fastest) -> snapshot t as an (nx, ny) grid
+    stack = y.T.reshape(-1, bs_spec.ny, bs_spec.nx).swapaxes(1, 2)
+    t_count = stack.shape[0]
+    flat = np.zeros((t_count, k_sources, 2))
+    post = estimate_aoa_posteriors(
+        stack, np.full(t_count, noise_power), flat, flat, flat[..., 0] + math.inf
+    )
+    metrics = bs_spec.n_antennas * np.abs(post.coeff_mean) ** 2 / noise_power
+    return FarFieldAoas(post.cosines, post.coeff_mean, metrics, metrics < LOW_POWER_METRIC)
 
 
 # roll in {0, pi} x yaw in {0, pi/2, pi, -pi/2}, pitch 0
@@ -189,30 +197,18 @@ def run_baseline(
     r_init = range_init if range_init is not None else scenario.nominal_range
     _check_range_init(r_init)
     k_count = scenario.num_ms
-    t_count = scenario.n_slots
     q_locals = scenario.pattern.local_positions(scenario.ms, scenario.lam)
-    per_slot = [
-        farfield_aoa(
-            signal.samples[:, t], scenario.bs, k_count, scenario.noise_power_w
-        )
-        for t in range(t_count)
-    ]
+    comps = farfield_aoa(signal.samples, scenario.bs, k_count, scenario.noise_power_w)
     # label components: slot 0 ordered by amplitude, later slots matched to it
-    order = sorted(range(k_count), key=lambda k: -abs(per_slot[0][k].coeff))
-    tracks = np.zeros((k_count, t_count, 2))
-    flags_per_k = [[] for _ in range(k_count)]
-    ref_angles = np.pi * np.array([per_slot[0][j].cosines for j in order])
-    for t in range(t_count):
-        cand = np.pi * np.array([est.cosines for est in per_slot[t]])
-        perm = match_components(ref_angles, cand)
-        for k in range(k_count):
-            est = per_slot[t][perm[k]]
-            tracks[k, t] = est.cosines
-            if est.low_power:
-                flags_per_k[k].append(f"low_power_t{t}")
+    order = np.argsort(-np.abs(comps.coeff[0]), kind="stable")
+    ref_angles = np.pi * comps.cosines[0, order]
+    perm = np.array([match_components(ref_angles, np.pi * cand) for cand in comps.cosines])
+    tracks = np.take_along_axis(comps.cosines, perm[..., None], 1).swapaxes(0, 1)  # (K, T, 2)
+    low_power = np.take_along_axis(comps.low_power, perm, 1).T  # (K, T)
     out = []
     for k in range(k_count):
         pose, fit_flags = pose_from_aoas(tracks[k], q_locals, r_init)
+        low = [f"low_power_t{t}" for t in np.flatnonzero(low_power[k])]
         attitude = canonicalize_euler(pose[3:])
         out.append(
             PoseEstimate(
@@ -222,7 +218,7 @@ def run_baseline(
                 cov_position=_NAN_COV.copy(),
                 cov_attitude=_NAN_COV.copy(),
                 converged="nls_not_converged" not in fit_flags,
-                flags=tuple(flags_per_k[k] + fit_flags),
+                flags=tuple(low + fit_flags),
             )
         )
     return out

@@ -33,10 +33,8 @@ from .geometry import (
     bs_antenna_grid,
     fresnel_distance,
     half_wavelength_ura,
-    ms_antenna_global_position,
-    ms_local_antenna_position,
     named_pattern,
-    rotation_basis,
+    rigid_antenna_chain,
     wavelength,
 )
 from .partition import PartitionPlan, validate_far_field
@@ -161,14 +159,18 @@ def draw_poses(scenario: ScenarioConfig, rng: np.random.Generator) -> list:
     return poses
 
 
+def _antenna_positions(poses, q_locals: np.ndarray) -> np.ndarray:
+    """(K, T, 3) global positions of the antennas at local offsets
+    ``q_locals`` (T, 2) on every MS, from one `rigid_antenna_chain` call."""
+    theta = np.array([pose.attitude.as_array() for pose in poses])
+    q = np.broadcast_to(q_locals, (len(poses),) + q_locals.shape)
+    offsets = rigid_antenna_chain(theta, q, order=0)[0]
+    return np.array([pose.position for pose in poses])[:, None] + offsets
+
+
 def activated_antenna_positions(scenario: ScenarioConfig, poses) -> np.ndarray:
     """(K, T, 3) global positions of the activated MS antennas."""
-    out = np.zeros((scenario.num_ms, scenario.n_slots, 3))
-    for k, pose in enumerate(poses):
-        for t, (q, s) in enumerate(scenario.pattern.slots):
-            local = ms_local_antenna_position(scenario.ms, q, s, scenario.lam)
-            out[k, t] = ms_antenna_global_position(pose, local)
-    return out
+    return _antenna_positions(poses, scenario.pattern.local_positions(scenario.ms, scenario.lam))
 
 
 def all_ms_antenna_positions(scenario: ScenarioConfig, poses) -> np.ndarray:
@@ -177,8 +179,7 @@ def all_ms_antenna_positions(scenario: ScenarioConfig, poses) -> np.ndarray:
     spec = scenario.ms
     qs = np.indices((spec.nx, spec.ny)).reshape(2, -1).T + 1
     local = (qs - (np.array([spec.nx, spec.ny]) + 1) / 2.0) * scenario.lam / 2.0
-    rows = [pose.position + local @ rotation_basis(pose.attitude).matrix.T for pose in poses]
-    return np.array(rows).reshape(-1, 3)
+    return _antenna_positions(poses, local).reshape(-1, 3)
 
 
 @dataclass
@@ -227,13 +228,23 @@ def nearfield_channel_coeff(
 
 
 def nearfield_channel_vector(
-    bs_grid: np.ndarray, ms_antenna: np.ndarray, gain: float, lam: float
+    bs_grid: np.ndarray, ms_antenna: np.ndarray, gain, lam: float
 ) -> np.ndarray:
-    """Exact channel from one MS antenna to every BS antenna (vectorized)."""
-    r = np.linalg.norm(bs_grid - np.asarray(ms_antenna)[None, :], axis=1)
+    """Exact channels from MS antennas (..., 3) to every BS antenna of
+    ``bs_grid`` (N_B, 3), shape (..., N_B); ``gain`` broadcasts against
+    them."""
+    r = np.linalg.norm(bs_grid - np.asarray(ms_antenna)[..., None, :], axis=-1)
     if np.any(r < 1e-300):
         raise ValueError("an MS antenna coincides with a BS antenna")
     return gain * lam / (4.0 * np.pi * r) * np.exp(-2j * np.pi * r / lam)
+
+
+def exact_channels(scenario: ScenarioConfig, antennas: np.ndarray) -> np.ndarray:
+    """(K, T, N_B) exact channels from the activated antennas (K, T, 3) of
+    every MS, each scaled by its MS's antenna gain."""
+    grid = bs_antenna_grid(scenario.bs, scenario.lam)
+    gains = np.asarray(scenario.antenna_gains, dtype=float)[:, None, None]
+    return nearfield_channel_vector(grid, antennas, gains, scenario.lam)
 
 
 def _complex_noise(rng: np.random.Generator, shape, power: float) -> np.ndarray:
@@ -271,20 +282,14 @@ def simulate_received(
             f"an MS antenna is {-margin:.3g} m inside the reactive region; "
             "set fresnel_override to simulate anyway"
         )
-    lam = scenario.lam
-    grid = bs_antenna_grid(scenario.bs, lam)
-    amp = np.sqrt(scenario.tx_power_w)
-    antennas = activated_antenna_positions(scenario, poses)
-    y = np.zeros((scenario.bs.n_antennas, scenario.n_slots), dtype=np.complex128)
-    for t in range(scenario.n_slots):
-        for k in range(scenario.num_ms):
-            h = nearfield_channel_vector(
-                grid, antennas[k, t], scenario.antenna_gains[k], lam
-            )
-            if np.isfinite(scenario.rician_kfactor):
-                diffuse = _complex_noise(rng, h.shape, 1.0 / scenario.rician_kfactor)
-                h = h + np.abs(h) * diffuse
-            y[:, t] += amp * h
+    h = exact_channels(scenario, activated_antenna_positions(scenario, poses))
+    kfactor = scenario.rician_kfactor
+    if np.isfinite(kfactor):
+        # slot-major: slot t, MS k draws the real then the imaginary parts
+        z = rng.standard_normal((scenario.n_slots, scenario.num_ms, 2, scenario.bs.n_antennas))
+        diffuse = np.sqrt(1.0 / kfactor / 2.0) * (z[:, :, 0] + 1j * z[:, :, 1])
+        h = h + np.abs(h) * diffuse.swapaxes(0, 1)
+    y = np.ascontiguousarray(np.sum(np.sqrt(scenario.tx_power_w) * h, axis=0).T)
     y += _complex_noise(rng, y.shape, scenario.noise_power_w)
     return ReceivedSignal(y)
 
@@ -333,29 +338,15 @@ def reduced_coefficients(
                 f"by {-report.worst_margin:.3g} m; refine the partition or set "
                 "fresnel_override"
             )
-    m_count = plan.n_subarrays
-    k_count, t_count = scenario.num_ms, scenario.n_slots
-    gains = np.zeros((m_count, k_count, t_count), dtype=np.complex128)
-    cosines = np.zeros((m_count, k_count, t_count, 2))
-    distances = np.zeros((m_count, k_count, t_count))
-    amp = np.sqrt(scenario.tx_power_w)
-    refs = plan.reference_positions()
-    for mi, sub in enumerate(plan.subarrays):
-        diff = antennas - refs[mi][None, None, :]
-        r = np.linalg.norm(diff, axis=-1)
-        phi = diff[..., :2] / r[..., None]
-        nt_x, nt_y = sub.ref_index
-        for k in range(k_count):
-            beta = scenario.antenna_gains[k]
-            path = lam / (4.0 * np.pi * r[k])
-            phase = (
-                -2j * np.pi * r[k] / lam
-                - 1j * np.pi * (nt_x * phi[k, :, 0] + nt_y * phi[k, :, 1])
-            )
-            gains[mi, k] = amp * beta * path * np.exp(phase)
-            cosines[mi, k] = phi[k]
-            distances[mi, k] = r[k]
-    return ReducedCoefficients(gains, cosines, distances)
+    # (M, K, T) broadcast: subarray m's reference antenna to every activated antenna
+    diff = antennas[None] - plan.reference_positions()[:, None, None, :]
+    r = np.linalg.norm(diff, axis=-1)
+    cosines = diff[..., :2] / r[..., None]
+    nt_x, nt_y = np.array([sub.ref_index for sub in plan.subarrays]).T[..., None, None]
+    beta = np.asarray(scenario.antenna_gains, dtype=float)[:, None]
+    phase = -2j * np.pi * r / lam - 1j * np.pi * (nt_x * cosines[..., 0] + nt_y * cosines[..., 1])
+    gains = np.sqrt(scenario.tx_power_w) * beta * (lam / (4.0 * np.pi * r)) * np.exp(phase)
+    return ReducedCoefficients(gains, cosines, r)
 
 
 def reduced_received(

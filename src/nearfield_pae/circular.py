@@ -255,9 +255,7 @@ class LaplaceFit:
     precision the covariance inverts) plus convergence flags.
 
     `newton_fits` returns the same fields stacked along a leading problem
-    axis. ``n_polish_steps`` counts accepted Newton steps; there is no
-    gradient-ascent phase, so ``n_ga_steps`` is always 0 (it is kept for
-    readers of the step counts, such as the benchmark's tracer).
+    axis. ``n_polish_steps`` counts accepted Newton steps.
     """
 
     mean: np.ndarray
@@ -266,7 +264,6 @@ class LaplaceFit:
     converged: bool
     regularized: bool
     n_polish_steps: int = 0
-    n_ga_steps: int = 0
 
     def problem(self, i: int) -> "LaplaceFit":
         """The fit of problem ``i`` of a stacked result."""
@@ -395,7 +392,6 @@ def newton_fits(value, derivatives, init: np.ndarray) -> LaplaceFit:
         converged=converged,
         regularized=regularized,
         n_polish_steps=steps,
-        n_ga_steps=np.zeros_like(steps),
     )
 
 

@@ -133,7 +133,6 @@ class MessageState:
     prior_cov: np.ndarray  # (M, K, T, 3, 3)
     ext_chi: np.ndarray  # (M, K, T, 2)
     ext_kappa: np.ndarray  # (M, K, T, 2)
-    coeff_mag: np.ndarray  # (M, K, T)
     fused_mean: np.ndarray  # (K, T, 3)
     fused_prec: np.ndarray  # (K, T, 3, 3), the capped -H of each fusion fit
     fused_ok: np.ndarray  # (K, T) bool
@@ -163,7 +162,6 @@ def init_messages(m_count: int, k_count: int, t_count: int, cfg: EstimatorConfig
         prior_cov=cov,
         ext_chi=np.zeros((m_count, k_count, t_count, 2)),
         ext_kappa=np.zeros((m_count, k_count, t_count, 2)),
-        coeff_mag=np.zeros((m_count, k_count, t_count)),
         fused_mean=np.zeros((k_count, t_count, 3)),
         fused_prec=np.tile(np.eye(3), (k_count, t_count, 1, 1)),
         fused_ok=np.zeros((k_count, t_count), dtype=bool),
@@ -281,6 +279,15 @@ def _flat_problems(kappas: np.ndarray) -> np.ndarray:
     return np.all(kappas <= _KAPPA_FLOOR, axis=(-2, -1))
 
 
+def _diverged(means: np.ndarray, nominal_range: float) -> np.ndarray:
+    """Composite fits (..., 3) that ran away (beyond 50 nominal ranges) or
+    ended on or behind the BS plane (z <= 0). A flat or conflicting
+    composite can let the ascent run away, and cosines see z only through
+    |z|, so a start behind the plane ascends to the mirror image of a mode
+    or onto the plane."""
+    return (np.linalg.norm(means, axis=-1) > 50.0 * nominal_range) | (means[..., 2] <= 0.0)
+
+
 def fuse_antenna_position(state: MessageState, plan: PartitionPlan, cfg: EstimatorConfig):
     """Laplace-fit, for every (MS, slot), the product of all subarrays'
     cosine beliefs about that activated antenna, in one stacked solve.
@@ -311,13 +318,8 @@ def fuse_antenna_position(state: MessageState, plan: PartitionPlan, cfg: Estimat
         fits = composite_fits(refs, chis[solve], kappas[solve], mean[solve])
         nonconverged[solve] = ~fits.converged
         regularized[solve] = fits.regularized
-        # a flat or conflicting composite can let the ascent run away, and
-        # cosines see z only through |z|, so a start behind the BS plane
-        # ascends to the mirror image of a mode or onto the plane; such a
-        # problem keeps its start with the non-informative precision
-        diverged[solve] = (np.linalg.norm(fits.mean, axis=1) > 50.0 * cfg.nominal_range) | (
-            fits.mean[:, 2] <= 0.0
-        )
+        # a diverged problem keeps its start with the non-informative precision
+        diverged[solve] = _diverged(fits.mean, cfg.nominal_range)
         kept = ~diverged[solve]
         mean[solve[kept]] = fits.mean[kept]
         prec[solve[kept]] = fits.precision[kept]
@@ -505,9 +507,11 @@ def feedback_messages(state: MessageState, plan: PartitionPlan, cfg: EstimatorCo
     The message for subarray m combines, in information form, the
     pose-projected belief with the Laplace fit of the composite in which
     subarray m's concentrations are masked to zero. A flat or indefinite
-    leave-one-out composite, or one whose precision plus the pose-projected
-    one is not definite beyond rounding, leaves the pose-projected belief.
-    Writes ``prior_mean`` and ``prior_cov``; returns (MS, flag) pairs.
+    leave-one-out composite, one whose fit diverged as fusion judges it
+    (runs away or ends at z <= 0), or one whose precision plus the
+    pose-projected one is not definite beyond rounding, leaves the
+    pose-projected belief. Writes ``prior_mean`` and ``prior_cov``;
+    returns (MS, flag) pairs.
     """
     m_count, k_count, t_count = state.shape
     eta_mean = np.broadcast_to(state.eta_mean, state.prior_mean.shape)
@@ -523,11 +527,12 @@ def feedback_messages(state: MessageState, plan: PartitionPlan, cfg: EstimatorCo
     kappas = (state.ext_kappa.transpose(1, 2, 0, 3) * masked).reshape(-1, m_count, 2)
     inits = np.broadcast_to(state.fused_mean, eta_mean.shape).reshape(-1, 3)
     flat = _flat_problems(kappas)
-    dropped = np.zeros_like(flat)
+    dropped, diverged = np.zeros_like(flat), np.zeros_like(flat)
     solve = np.flatnonzero(~flat)
     if solve.size:
         fits = composite_fits(refs, chis[solve], kappas[solve], inits[solve])
-        keep = np.flatnonzero(~fits.regularized)
+        diverged[solve] = _diverged(fits.mean, cfg.nominal_range)
+        keep = np.flatnonzero(~fits.regularized & ~diverged[solve])
         eta_prec = np.linalg.inv(eta_cov.reshape(-1, 3, 3)[solve[keep]])
         # a fit precision's rounding (eps times eigenvalues up to ~1e21)
         # can swamp the pose-projected precision: a sum not definite beyond
@@ -537,13 +542,14 @@ def feedback_messages(state: MessageState, plan: PartitionPlan, cfg: EstimatorCo
         keep, eta_prec = keep[definite], eta_prec[definite]
         used = solve[keep]
         dropped[np.setdiff1d(solve, used)] = True
+        dropped &= ~diverged
         mean, cov, _ = information_product(
             eta_mean.reshape(-1, 3)[used], eta_prec, fits.mean[keep], fits.precision[keep]
         )
         cell = np.unravel_index(used, (m_count, k_count, t_count))
         state.prior_mean[cell] = mean
         state.prior_cov[cell] = cov
-    raised = {"gamma_flat": flat, "gamma_indefinite_dropped": dropped}
+    raised = {"gamma_flat": flat, "gamma_indefinite_dropped": dropped, "gamma_diverged": diverged}
     return _stage_flags(raised, (m_count, k_count, t_count))
 
 
@@ -619,7 +625,6 @@ def aoa_module_pass(
     ext_chi, ext_kappa = vm_extrinsic_stack(chi, kappa, prior_chi, prior_kappa)
     state.ext_chi[:] = ext_chi.transpose(0, 2, 1, 3)
     state.ext_kappa[:] = ext_kappa.transpose(0, 2, 1, 3)
-    state.coeff_mag[:] = np.abs(coeff).transpose(0, 2, 1)
     return [
         (k, f"aoa_curvature_m{m}k{k}t{t}") for m, t, k in np.argwhere(fallback.any(axis=-1))
     ]

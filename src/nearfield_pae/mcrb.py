@@ -35,16 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    ScenarioConfig,
-    nearfield_channel_vector,
-    reduced_coefficients,
-    subarray_steering,
-)
+from .channel import ScenarioConfig, exact_channels, reduced_coefficients, subarray_steering
 from .circular import newton_fits
 from .geometry import (
     Pose,
-    bs_antenna_grid,
     canonicalize_euler,
     direction_cosine_derivatives,
     direction_cosine_hessian,
@@ -91,21 +85,11 @@ def poses_from_gamma(gamma: np.ndarray, k: int):
 
 
 def exact_mean(gamma: np.ndarray, scenario: ScenarioConfig) -> np.ndarray:
-    """Noiseless exact-model signal, stacked slot by slot into one vector."""
-    grid = bs_antenna_grid(scenario.bs, scenario.lam)
-    n_b = scenario.bs.n_antennas
-    t_count = scenario.n_slots
-    amp = math.sqrt(scenario.tx_power_w)
+    """Noiseless exact-model signal, stacked slot by slot into one vector:
+    the simulator's sum over MSs of `channel.exact_channels`."""
     antennas = _antenna_derivatives(gamma, scenario, order=0)[0]
-    mu = np.zeros(n_b * t_count, dtype=np.complex128)
-    for t in range(t_count):
-        col = np.zeros(n_b, dtype=np.complex128)
-        for k in range(scenario.num_ms):
-            col += amp * nearfield_channel_vector(
-                grid, antennas[k, t], scenario.antenna_gains[k], scenario.lam
-            )
-        mu[t * n_b : (t + 1) * n_b] = col
-    return mu
+    amp = math.sqrt(scenario.tx_power_w)
+    return np.sum(amp * exact_channels(scenario, antennas), axis=0).ravel()
 
 
 def reduced_embedding(

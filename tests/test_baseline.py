@@ -50,9 +50,9 @@ class TestFarFieldAoa:
         for _ in range(5):
             phi = rng.uniform(-0.7, 0.7, 2)
             y = 5e-4 * whole_array_steering(spec, phi)
-            est = farfield_aoa(y, spec, 1, SIGW2)[0]
-            assert np.allclose(est.cosines, phi, atol=1e-7)
-            assert not est.low_power
+            est = farfield_aoa(y, spec, 1, SIGW2)
+            assert np.allclose(est.cosines[0, 0], phi, atol=1e-7)
+            assert not est.low_power.any()
 
     # the periodogram grid is 4x padded, bins 1/64 apart on 32 elements:
     # a start midway between bins must still lie inside the main lobe
@@ -65,9 +65,9 @@ class TestFarFieldAoa:
     def test_any_single_plane_wave_recovered(self, phi, phase):
         spec = UraSpec(32, 32, 0.005)
         y = 5e-4 * np.exp(1j * phase) * whole_array_steering(spec, phi)
-        est = farfield_aoa(y, spec, 1, SIGW2)[0]
-        assert np.allclose(est.cosines, phi, atol=1e-7)
-        assert not est.low_power
+        est = farfield_aoa(y, spec, 1, SIGW2)
+        assert np.allclose(est.cosines[0, 0], phi, atol=1e-7)
+        assert not est.low_power.any()
 
     def test_two_plane_waves(self):
         spec = UraSpec(32, 32, 0.005)
@@ -76,7 +76,7 @@ class TestFarFieldAoa:
             spec, phi2
         )
         ests = farfield_aoa(y, spec, 2, SIGW2)
-        got = sorted([tuple(e.cosines) for e in ests])
+        got = sorted(map(tuple, ests.cosines[0]))
         want = sorted([tuple(phi1), tuple(phi2)])
         assert np.allclose(got, want, atol=1e-6)
 
@@ -88,7 +88,7 @@ class TestFarFieldAoa:
             + 1j * rng.standard_normal(spec.n_antennas)
         )
         ests = farfield_aoa(y, spec, 2, SIGW2)
-        assert all(e.low_power for e in ests)
+        assert ests.low_power.all()
 
     def test_nearfield_input_is_biased(self):
         # inside the array's near field the common-angle assumption fails;
@@ -97,15 +97,15 @@ class TestFarFieldAoa:
         pose = Pose(np.array([0.3, -0.2, 1.2]), EulerAngles(0, 0, 0))
         sc = replace(sc, poses=(pose,), noise_power_w=0.0, fresnel_override=True)
         sig = simulate_received(sc, np.random.default_rng(2), [pose])
-        est = farfield_aoa(sig.samples[:, 0], sc.bs, 1, SIGW2)[0]
+        est = farfield_aoa(sig.samples[:, 0], sc.bs, 1, SIGW2).cosines[0, 0]
         q = sc.pattern.local_positions(sc.ms, sc.lam)
         ant = ms_antenna_global_position(pose, q[0])
         true_phi = np.array(aoa_cosines(ant, np.zeros(3)))
-        bias = np.linalg.norm(est.cosines - true_phi)
+        bias = np.linalg.norm(est - true_phi)
         far = farfield_aoa(
             3e-4 * whole_array_steering(sc.bs, true_phi), sc.bs, 1, SIGW2
-        )[0]
-        far_bias = np.linalg.norm(far.cosines - true_phi)
+        ).cosines[0, 0]
+        far_bias = np.linalg.norm(far - true_phi)
         assert bias > 10 * far_bias  # matched model is orders cleaner
 
     def test_two_waves_ranked_by_peak_metric(self):
@@ -115,10 +115,23 @@ class TestFarFieldAoa:
             spec, phi2
         )
         ests = farfield_aoa(y, spec, 2, SIGW2)
-        by_x = sorted(ests, key=lambda e: e.cosines[0])  # phi2 first
-        assert np.allclose(by_x[0].cosines, phi2, atol=1e-6)
-        assert np.allclose(by_x[1].cosines, phi1, atol=1e-6)
-        assert by_x[1].peak_metric > by_x[0].peak_metric
+        by_x = np.argsort(ests.cosines[0, :, 0])  # phi2 first
+        assert np.allclose(ests.cosines[0, by_x[0]], phi2, atol=1e-6)
+        assert np.allclose(ests.cosines[0, by_x[1]], phi1, atol=1e-6)
+        assert ests.peak_metric[0, by_x[1]] > ests.peak_metric[0, by_x[0]]
+
+    @pytest.mark.parametrize("num_ms", [1, 2])
+    def test_snapshots_stacked_equal_single_calls(self, num_ms):
+        """All T slots in one call give, bit for bit, what T one-column
+        calls give."""
+        sc = desk_scale_scenario(num_ms=num_ms, tx_power_dbm=10.0)
+        rng = np.random.default_rng(np.random.SeedSequence([0, num_ms, 3]))
+        samples = simulate_received(sc, rng).samples
+        got = farfield_aoa(samples, sc.bs, num_ms, sc.noise_power_w)
+        for t in range(sc.n_slots):
+            one = farfield_aoa(samples[:, t : t + 1], sc.bs, num_ms, sc.noise_power_w)
+            for name in ("cosines", "coeff", "peak_metric", "low_power"):
+                assert np.array_equal(getattr(got, name)[t], getattr(one, name)[0]), (t, name)
 
 
 def exact_tracks(pose, q_locals):

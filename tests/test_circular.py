@@ -408,7 +408,7 @@ class TestLaplaceFit:
             grad=lambda x: -4.0 * x**3 - 2.0 * x,
             hess=lambda x: np.diag(-12.0 * x**2 - 2.0),
         )
-        assert fit.n_ga_steps == 0 and fit.n_polish_steps == 0
+        assert fit.n_polish_steps == 0
         assert fit.converged
         assert np.allclose(fit.cov, 0.5 * np.eye(2), rtol=1e-4)
 

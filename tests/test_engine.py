@@ -4,9 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from nearfield_pae import engine
+from nearfield_pae import baseline, engine, mcrb
+from nearfield_pae.baseline import run_baseline
 from nearfield_pae.channel import (
     ReceivedSignal,
     desk_scale_scenario,
@@ -40,6 +41,7 @@ from nearfield_pae.geometry import (
     rotation_bases,
     rotation_basis,
 )
+from nearfield_pae.mcrb import compute_bound
 from nearfield_pae.partition import uniform_partition
 from oracles import (
     composite_vm_grad,
@@ -122,17 +124,20 @@ class TestCompositeObjective:
             assert np.allclose(hess, hess.T)
             assert np.max(np.abs(hess - fd)) <= 1e-5 * max(1.0, np.max(np.abs(hess)))
 
-    def test_stacked_solve_equals_single_solves(self):
-        rng = np.random.default_rng(13)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+    @example(seed=13, count=12)
+    def test_stacked_solve_equals_single_solves(self, seed, count):
+        """`composite_fits` on a stack gives each problem what it gets
+        alone: noisy beliefs, one problem left with a single subarray."""
+        rng = np.random.default_rng(seed)
         refs = rng.normal(0, 0.1, (5, 3))
         refs[:, 2] = 0.0
-        count = 12
         truth = rng.normal(0, 1, (count, 3)) + np.array([0, 0, 5.0])
         chis = np.array(
             [[np.pi * np.array(aoa_cosines(p, r)) for r in refs] for p in truth]
         ) + rng.normal(0, 0.01, (count, 5, 2))
         kappas = rng.uniform(10, 1e5, (count, 5, 2))
-        kappas[3, 1:] = 0.0  # one problem left with a single subarray
+        kappas[min(3, count - 1), 1:] = 0.0
         inits = truth + rng.normal(0, 0.05, (count, 3))
         stacked = composite_fits(refs, chis, kappas, inits)
         for b in range(count):
@@ -438,6 +443,28 @@ class TestFeedback:
         assert (0, "gamma_flat_m0k0t0") in flags
         assert np.allclose(state.prior_mean[0, 0, 0], [0.5, 0.5, 5.0])
 
+    def test_fit_behind_bs_plane_dropped(self):
+        """A leave-one-out fit started at the mirror image of the antenna
+        behind the BS plane ends there (cosines see z only through |z|);
+        as in fusion it is diverged, so the pose-projected belief stands
+        in its place and the stage flags it."""
+        sc, plan = desk_setup()
+        cfg = EstimatorConfig().resolve(sc)
+        p_true = np.array([0.7, -0.5, 6.0])
+        refs = plan.reference_positions()
+        state = init_messages(plan.n_subarrays, 1, 1, cfg)
+        for m in range(plan.n_subarrays):
+            state.ext_chi[m, 0, 0] = np.pi * np.array(aoa_cosines(p_true, refs[m]))
+            state.ext_kappa[m, 0, 0] = 1e7
+        state.fused_mean[0, 0] = p_true * [1.0, 1.0, -1.0]
+        state.eta_mean[0, 0] = p_true + 1e-3
+        state.eta_cov[0, 0] = 1e-6 * np.eye(3)
+        flags = feedback_messages(state, plan, cfg)
+        count = plan.n_subarrays
+        assert flags == [(0, f"gamma_diverged_m{m}k0t0") for m in range(count)]
+        assert np.array_equal(state.prior_mean[:, 0, 0], np.tile(p_true + 1e-3, (count, 1)))
+        assert np.array_equal(state.prior_cov[:, 0, 0], np.tile(1e-6 * np.eye(3), (count, 1, 1)))
+
     def test_combination_matches_closed_form(self):
         # exact extrinsic geometry: the leave-one-out fit is concentrated,
         # and the information-form combination must match the closed-form
@@ -629,11 +656,21 @@ class TestMultiMsRobustness:
             assert np.all(np.isfinite(est.basis.matrix))
 
 
+def _perfbench_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 class TestBenchmarkHooks:
-    """The benchmark's tracer wraps engine attributes by name and reads
-    each Laplace fit; a refactor that renames them breaks ``--trace 1``.
-    No stage calls ``engine.laplace_fit`` any more, but the tracer still
-    wraps it, so it must still install."""
+    """The benchmark's tracer wraps engine, baseline and bound attributes
+    by name and reads each Laplace fit; a refactor that renames them
+    breaks ``--trace 1``, and one that calls a layer through a local
+    binding makes its metrics read 0. No stage calls
+    ``engine.laplace_fit`` any more, but the tracer still wraps it, so it
+    must still install."""
 
     HOOKS = (
         "aoa_module_pass",
@@ -645,12 +682,17 @@ class TestBenchmarkHooks:
         "laplace_fit",
         "composite_vm_value",
     )
+    REFERENCE_HOOKS = (
+        (baseline, "farfield_aoa"),
+        (baseline, "pose_from_aoas"),
+        (mcrb, "pseudotrue_fit"),
+        (mcrb, "information_matrices"),
+        (mcrb, "lower_bound"),
+        (mcrb, "reduced_embedding"),
+    )
 
     def test_tracer_install_and_uninstall(self):
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
+        tracing = _perfbench_tracing()
         originals = {name: getattr(engine, name) for name in self.HOOKS}
         sc, plan = desk_setup(tx_power_dbm=20.0)
         rng = np.random.default_rng(4)
@@ -670,6 +712,31 @@ class TestBenchmarkHooks:
                 assert calls[f"engine.{name}"] >= 1, name
         assert tracer.counts["composite_evals"] >= 1
         assert tracer.counts["laplace_converged"] == calls["engine.laplace_fit"]
+
+    def test_reference_hooks_record_calls(self):
+        """`run_baseline` and `compute_bound` reach every baseline and
+        bound layer the tracer wraps through the module attribute, once
+        per trial for the stacked `farfield_aoa`; the bound never builds
+        the dense `reduced_embedding`, whose hook must still install."""
+        tracing = _perfbench_tracing()
+        originals = {(mod, name): getattr(mod, name) for mod, name in self.REFERENCE_HOOKS}
+        sc, plan = desk_setup(tx_power_dbm=20.0, distance_range=(1.5, 2.5))
+        rng = np.random.default_rng(np.random.SeedSequence([0, 0, 0]))
+        poses = draw_poses(sc, rng)
+        sig = simulate_received(sc, rng, poses)
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            run_baseline(sig, sc)
+            compute_bound(poses, sc, plan)
+        finally:
+            tracer.uninstall()
+        assert all(getattr(mod, name) is fn for (mod, name), fn in originals.items())
+        _, calls = tracer.totals()
+        assert calls["baseline.farfield_aoa"] == 1
+        for mod, name in self.REFERENCE_HOOKS[:-1]:
+            assert calls[f"{mod.__name__.split('.')[-1]}.{name}"] >= 1, name
+        assert calls["mcrb.reduced_embedding"] == 0
 
 
 class TestSingularCurvatureRegression:

@@ -106,10 +106,9 @@ class TestNonFiniteAngleInput:
 class TestEstimatorControls:
     """Invalid controls once passed construction: ``iterations = 0`` made
     `run` return a pose at the array centre with no flag (2.5 ran two
-    passes), a zero prior
-    std or pad factor raised a bare ZeroDivisionError inside `run` (a
-    fractional pad factor a TypeError), and a negative attitude
-    concentration or a bad nominal range was used. A NaN or infinite
+    passes), a zero prior std raised a bare ZeroDivisionError inside
+    `run`, and a negative attitude concentration or a bad nominal range
+    was used. A NaN or infinite
     ``sigma_ini`` made `run` raise a misleading concentration error, a
     bad amplitude prior variance failed only inside the angle stage, and
     a negative sweep count ran as 0. A NaN or infinite attitude prior
@@ -155,11 +154,6 @@ class TestEstimatorControls:
         with pytest.raises(ValueError, match="nominal_range"):
             EstimatorConfig(nominal_range=r_nom)
 
-    @pytest.mark.parametrize("pad", [0, -4, 2.5])
-    def test_pad_factor_rejected(self, pad):
-        with pytest.raises(ValueError, match="pad_factor"):
-            AoaOptions(pad_factor=pad)
-
     def test_valid_controls_accepted(self):
         cfg = EstimatorConfig(
             iterations=1,
@@ -167,6 +161,6 @@ class TestEstimatorControls:
             attitude_prior_kappa=(0.0, 1.0, 0.0),
             nominal_range=3.0,
             coeff_prior_var=np.inf,
-            aoa=AoaOptions(max_sweeps=0, pad_factor=1),
+            aoa=AoaOptions(max_sweeps=0),
         )
-        assert cfg.iterations == 1 and cfg.aoa.pad_factor == 1
+        assert cfg.iterations == 1 and cfg.aoa.max_sweeps == 0
