@@ -79,10 +79,13 @@ def farfield_aoa(
     amplitude prior variance, so the profiled objective is the plain
     periodogram |g|^2 / (N sigma^2) and the coefficient is g / N. A
     component whose peak metric N |coeff|^2 / sigma^2 falls below
-    `LOW_POWER_METRIC` is flagged ``low_power``. Raises ValueError on a
-    non-finite sample or a noise power that is not finite and positive.
+    `LOW_POWER_METRIC` is flagged ``low_power``. Raises ValueError on
+    samples of another shape, a non-finite sample or a noise power that
+    is not finite and positive.
     """
-    y = np.asarray(samples).reshape(bs_spec.n_antennas, -1)
+    y = np.asarray(samples)
+    if y.ndim not in (1, 2) or y.shape[0] != bs_spec.n_antennas:
+        raise ValueError(f"expected samples ({bs_spec.n_antennas}, T), got shape {y.shape}")
     # column t in vec order (u fastest) -> snapshot t as an (nx, ny) grid
     stack = y.T.reshape(-1, bs_spec.ny, bs_spec.nx).swapaxes(1, 2)
     t_count = stack.shape[0]
@@ -191,8 +194,13 @@ def run_baseline(
     """Far-field two-stage estimate of every MS pose from a signal matrix.
     ``range_init`` (default: the scenario's nominal range) is where the
     pose fit starts along the mean measured ray. Raises ValueError on a
-    non-finite sample, or unless ``range_init`` is a positive finite
-    distance."""
+    signal of the wrong shape or with a non-finite sample, or unless
+    ``range_init`` is a positive finite distance."""
+    if signal.samples.shape != (scenario.bs.n_antennas, scenario.n_slots):
+        raise ValueError(
+            f"signal shape {signal.samples.shape} does not match scenario "
+            f"({scenario.bs.n_antennas}, {scenario.n_slots})"
+        )
     signal.check_finite()
     r_init = range_init if range_init is not None else scenario.nominal_range
     _check_range_init(r_init)

@@ -54,6 +54,17 @@ class TestNonFiniteSignal:
             run_baseline(self.corrupted(samples, bad), sc)
 
 
+@pytest.mark.parametrize("slots", [1, 6])
+def test_run_baseline_rejects_signal_shape(slots):
+    """A signal with fewer or more slots than the pattern: one slot's
+    cosines would broadcast over every slot of the pose fit, and extra
+    slots were ignored."""
+    sc = desk_scale_scenario()
+    signal = ReceivedSignal(np.ones((sc.bs.n_antennas, slots), dtype=complex))
+    with pytest.raises(ValueError, match="signal shape"):
+        run_baseline(signal, sc)
+
+
 class TestNonFiniteAngleInput:
     """The angle stage once took a NaN or inf noise power, a non-finite
     sample or a NaN amplitude prior variance: an 8x8 snapshot then gave
@@ -95,6 +106,14 @@ class TestNonFiniteAngleInput:
         y[10] = bad
         with pytest.raises(ValueError, match="finite"):
             farfield_aoa(y, spec, 1, 1e-10)
+
+    @pytest.mark.parametrize("shape", [(5, 64), (64, 2, 2), (63,)])
+    def test_farfield_aoa_shape_rejected(self, shape):
+        """A transposed, stacked or short signal is not reshaped into
+        snapshots."""
+        spec = UraSpec(8, 8, 0.005)
+        with pytest.raises(ValueError, match="shape"):
+            farfield_aoa(np.ones(shape, dtype=complex), spec, 1, 1e-10)
 
     @pytest.mark.parametrize("noise", [np.nan, np.inf])
     def test_farfield_aoa_noise_power_rejected(self, noise):
