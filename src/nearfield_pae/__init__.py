@@ -9,7 +9,7 @@ fusion stage, and benchmarks the result against a misspecification-aware
 error lower bound and a far-field two-stage baseline.
 """
 
-from .aoa import AoaOptions, AoaPosteriors, estimate_aoa_posteriors
+from .aoa import AoaPosteriors, estimate_aoa_posteriors
 from .baseline import FarFieldAoas, farfield_aoa, pose_from_aoas, run_baseline
 from .channel import (
     ReceivedSignal,

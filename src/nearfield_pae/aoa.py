@@ -1,28 +1,35 @@
 """Multi-source 2-D direction-cosine estimation with von Mises priors,
 solved for a whole stack of same-shaped snapshots at once.
 
-Each snapshot follows a line-spectral model: a sum of K planar phase
-ramps (one per source) in the two direction cosines, with unknown complex
-amplitudes. Estimation is variational coordinate ascent with the
-amplitude marginalized under its Gaussian prior: for fixed other sources,
-the profiled objective in one source's cosines is::
+Each snapshot y follows a line-spectral model: a sum of K planar phase
+ramps (one per source, the columns of A(phi)) in the two direction
+cosines, with complex amplitudes under zero-mean Gaussian priors of
+variances v. Estimation maximizes the joint MAP objective with the
+amplitudes eliminated in closed form (variable projection: Golub &
+Pereyra, Inverse Problems 2003; Viberg, Ottersten & Kailath, IEEE TSP
+1991)::
 
-    F(phi) = v / sigma_w^4 * |<steer(phi), residual>|^2 + log prior(phi)
+    F(phi) = b^H G^-1 b / sigma_w^2 + log prior(phi),
+    b = A^H y,  G = A^H A + sigma_w^2 diag(1 / v),
 
-with ``v`` the amplitude's posterior variance. Amplitude updates and
-ascent steps on F both increase the joint MAP objective, so sweeps are
-monotone. Posterior concentrations come from the negated curvature of F
-at its maximizers. A flat prior (concentration 0, infinite amplitude
-variance) reduces F to the plain periodogram, which is how the far-field
-baseline uses the same routine (VALSE treats both cases in one routine:
-Badiu, Hansen & Fleury, IEEE TSP 2017).
+whose maximizing amplitudes are the ridge gains G^-1 b. With one source F
+is the profiled objective v' / sigma_w^4 |<steer(phi), y>|^2 + log
+prior(phi), v' the amplitude's posterior variance. Posterior
+concentrations come from the negated curvature of each source's profiled
+term at the maximizer, the other sources held at their gains. A flat
+prior (concentration 0, infinite amplitude variance) reduces F to the
+least-squares projection of y onto the K steering vectors, which is how
+the far-field baseline uses the same routine (VALSE treats both cases in
+one routine: Badiu, Hansen & Fleury, IEEE TSP 2017).
 
 `estimate_aoa_posteriors` solves a stack of snapshots at once: sliced
-periodogram starts, one `circular.newton_fits` solve per source position
-for the 2-D ascents, and sweeps under a per-snapshot convergence mask.
-Its inputs and outputs are arrays: stacked samples (B, nx, ny), noise
-powers (B,), von Mises prior means and concentrations (B, K, 2) and
-amplitude prior variances (B, K) in; an `AoaPosteriors` of arrays out.
+periodogram starts and a 2-D ascent for one source after another, one
+`circular.newton_fits` solve per source position, then one joint
+`newton_fits` solve of every snapshot's 2K cosines on the exact gradient
+and Hessian of F (`_joint_terms`). Its inputs and outputs are arrays:
+stacked samples (B, nx, ny), noise powers (B,), von Mises prior means and
+concentrations (B, K, 2) and amplitude prior variances (B, K) in; an
+`AoaPosteriors` of arrays out.
 """
 
 from __future__ import annotations
@@ -42,8 +49,6 @@ _GRID_SLICE_POINTS = 2**12
 # periodogram grid points per array element and axis: bins 1 / (2 nx)
 # apart, so a start lies inside the main lobe of any single source
 _PAD_FACTOR = 4
-# a snapshot leaves the sweeps once no cosine of it moves by this much
-_MOVE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -67,36 +72,33 @@ class AoaPosteriors:
         return self.chi / math.pi
 
 
-@dataclass(frozen=True)
-class AoaOptions:
-    """The coordinate-ascent sweep limit. Raises ValueError on a
-    ``max_sweeps`` that is not an integer >= 0."""
-
-    max_sweeps: int = 20
-
-    def __post_init__(self):
-        if not (isinstance(self.max_sweeps, (int, np.integer)) and self.max_sweeps >= 0):
-            raise ValueError(f"max_sweeps must be an integer >= 0, got {self.max_sweeps}")
+def _conj_ramps(phi: np.ndarray, nx: int, ny: int, order: int):
+    """conj(steer(phi)) as one phasor ramp per axis, exp(-j pi phi i) for
+    i = 1..n, times (-j pi i)^p for p = 0..``order``: (..., order + 1, nx)
+    and (..., order + 1, ny) for cosines phi (..., 2). Row p of the two
+    factors gives the conjugated p-th derivatives of steer along each axis."""
+    # running products of one phasor per axis: a third of the time of an
+    # exp per element on 80 snapshots
+    step = np.exp(-1j * np.pi * phi)
+    cx = step[..., :1].repeat(nx, axis=-1).cumprod(axis=-1)
+    cy = step[..., 1:].repeat(ny, axis=-1).cumprod(axis=-1)
+    if order == 0:
+        return cx[..., None, :], cy[..., None, :]
+    powers = np.arange(order + 1)[:, None]
+    xs = cx[..., None, :] * (-1j * np.pi * np.arange(1, nx + 1)) ** powers
+    ys = cy[..., None, :] * (-1j * np.pi * np.arange(1, ny + 1)) ** powers
+    return xs, ys
 
 
 def _projections(resid: np.ndarray, phi: np.ndarray, order: int = 2):
     """g = <steer(phi), resid> = sum conj(steer) * resid of stacked
     residuals (B, nx, ny) at cosines phi (B, 2); with ``order`` 2 also its
     gradient (B, 2) and Hessian (B, 2, 2) in phi."""
-    _, nx, ny = resid.shape
-    # conj(steer) factors exp(-j pi phi i) as running products of one
-    # phasor per axis: a third of the time of an exp per element on 80 snapshots
-    step = np.exp(-1j * np.pi * phi)
-    cx = step[:, :1].repeat(nx, axis=1).cumprod(axis=1)
-    cy = step[:, 1:].repeat(ny, axis=1).cumprod(axis=1)
-    if order == 0:
-        return (cx[:, None, :] @ resid @ cy[:, :, None])[:, 0, 0]
-    # moments[b, p, q] = d^(p+q) g / dphi_x^p dphi_y^q, each derivative
-    # bringing down a factor -j pi i
-    powers = np.arange(3)[:, None]
-    xs = cx[:, None, :] * (-1j * np.pi * np.arange(1, nx + 1)) ** powers
-    ys = cy[:, None, :] * (-1j * np.pi * np.arange(1, ny + 1)) ** powers
+    xs, ys = _conj_ramps(phi, *resid.shape[1:], order)
+    # moments[b, p, q] = d^(p+q) g / dphi_x^p dphi_y^q
     moments = xs @ resid @ np.swapaxes(ys, 1, 2)
+    if order == 0:
+        return moments[:, 0, 0]
     dg = moments[:, (1, 0), (0, 1)]
     ddg = moments[:, ((2, 1), (1, 0)), ((0, 1), (1, 2))]
     return moments[:, 0, 0], dg, ddg
@@ -121,6 +123,79 @@ def _profiled_terms(resid, phi, chi, kappa, weight, order: int = 2):
     )
     hess[:, (0, 1), (0, 1)] -= np.pi**2 * kappa * np.cos(ang)
     return f, grad, hess
+
+
+def _gram_system(y: np.ndarray, phi: np.ndarray, ridge: np.ndarray, order: int):
+    """The projections and Gram terms of K steering vectors a_l = steer(phi_l)
+    at cosines phi (b, K, 2) on snapshots y (b, nx, ny), with up to
+    ``order`` derivatives per axis:
+    ``moments[:, l, p, q]`` = (d^p_x d^q_y a_l)^H y, (b, K, order + 1, order + 1);
+    ``gram[:, l, m, p, q]`` = (d^p_x d^q_y a_l)^H a_m, (b, K, K, order + 1, order + 1),
+    each a product of two 1-D sums, one per axis; and
+    G = A^H A + diag(ridge) (b, K, K) for ridges (b, K)."""
+    xs, ys = _conj_ramps(phi, *y.shape[1:], order)
+    b_count, k_count = phi.shape[:2]
+    # rows (l, p) of the x factors against y and the conjugated x ramps at once
+    xs_rows = xs.reshape(b_count, -1, xs.shape[-1])
+    both = xs_rows @ np.concatenate([y, np.conj(np.swapaxes(xs[:, :, 0], 1, 2))], axis=2)
+    ny = y.shape[2]
+    t = both[..., :ny].reshape(ys.shape)
+    moments = np.einsum("blpj,blqj->blpq", t, ys)
+    gx = both[..., ny:].reshape(b_count, k_count, order + 1, k_count)
+    gy = ys.reshape(b_count, -1, ny) @ np.conj(np.swapaxes(ys[:, :, 0], 1, 2))
+    gy = gy.reshape(b_count, k_count, order + 1, k_count)
+    gram = np.moveaxis(gx, 3, 2)[..., None] * np.moveaxis(gy, 3, 2)[..., None, :]
+    system = gram[..., 0, 0].copy()
+    system[:, np.arange(k_count), np.arange(k_count)] += ridge
+    return moments, gram, system
+
+
+def _joint_terms(y, phi, chi, kappa, ridge, sigw2, order: int = 2):
+    """The joint objective F of stacked K-source problems (b,) -- snapshots
+    y (b, nx, ny), cosines phi (b, K, 2), prior means chi and
+    concentrations kappa (b, K, 2), ridges sigma_w^2 / v (b, K) and noise
+    powers sigw2 (b,) -- with, at ``order`` 2, its exact gradient (b, 2K)
+    and Hessian (b, 2K, 2K) in the cosines, source-major.
+
+    With gains c = G^-1 b and residual r = y - A c, dF/dphi_lp is
+    2 Re(conj(c_l) (d_p a_l)^H r) / sigw2 less the prior's slope, and the
+    data part of the Hessian is 2 Re(W^H G^-1 W + conj(c_l) c_m
+    (d_p d_q a_l)^H a_m + [l = m] conj(c_l) (d_p d_q a_l)^H r) / sigw2,
+    where column (m, q) of W is e_m (d_q a_m)^H r - A^H d_q a_m c_m, G times
+    the gains' derivative in phi_mq."""
+    moments, gram, system = _gram_system(y, phi, ridge, order)
+    proj = moments[:, :, 0, 0]
+    ang = np.pi * phi - chi
+    prior = np.sum(kappa * np.cos(ang), axis=(1, 2))
+    if order == 0:
+        gains = np.linalg.solve(system, proj[..., None])[..., 0]
+        return np.sum(np.conj(proj) * gains, axis=1).real / sigw2 + prior
+    b_count, k_count = proj.shape
+    each = np.arange(k_count)
+    inv = np.linalg.inv(system)
+    gains = (inv @ proj[..., None])[..., 0]
+    f = np.sum(np.conj(proj) * gains, axis=1).real / sigw2 + prior
+    # moments of the residual r = y - A c
+    resid = moments - np.einsum("blmpq,bm->blpq", gram, gains)
+    dr = resid[:, :, (1, 0), (0, 1)]
+    scale = 2.0 / sigw2
+    grad = scale[:, None, None] * np.real(np.conj(gains)[..., None] * dr)
+    grad -= np.pi * kappa * np.sin(ang)
+    # w[:, k, m, q] = (e_m (d_q a_m)^H r - A^H d_q a_m c_m)_k, with
+    # a_k^H d_q a_m = conj((d_q a_m)^H a_k)
+    w = np.conj(gram[:, :, :, (1, 0), (0, 1)]).transpose(0, 2, 1, 3) * -gains[:, None, :, None]
+    w[:, each, each] += dr
+    w = w.reshape(b_count, k_count, 2 * k_count)
+    # [:, l, m, p, q]: conj(c_l) (d_p d_q a_l)^H (a_m c_m + [l = m] r)
+    second = gram[..., ((2, 1), (1, 0)), ((0, 1), (1, 2))] * gains[:, None, :, None, None]
+    second[:, each, each] += resid[:, :, ((2, 1), (1, 0)), ((0, 1), (1, 2))]
+    second *= np.conj(gains)[:, :, None, None, None]
+    data = np.conj(np.swapaxes(w, 1, 2)) @ (inv @ w)
+    data += second.transpose(0, 1, 3, 2, 4).reshape(data.shape)
+    hess = scale[:, None, None] * data.real
+    diag = np.arange(2 * k_count)
+    hess[:, diag, diag] -= (np.pi**2 * kappa * np.cos(ang)).reshape(b_count, -1)
+    return f, grad.reshape(b_count, -1), hess
 
 
 def _periodogram_starts(resid, chi, kappa, weight) -> np.ndarray:
@@ -186,7 +261,6 @@ def estimate_aoa_posteriors(
     prior_chi,
     prior_kappa,
     coeff_prior_var,
-    opts: AoaOptions = AoaOptions(),
     diagnostics: bool = False,
 ) -> AoaPosteriors:
     """Joint posteriors of the K sources of every snapshot in a stack.
@@ -200,19 +274,20 @@ def estimate_aoa_posteriors(
     (most concentrated first, ties by mean), so permuting its priors
     permutes its outputs alike. Sources start one after another at the
     peak of the prior-weighted periodogram of the running residual (sliced
-    over the stack, `_GRID_SLICE_POINTS`); coordinate-ascent sweeps then
-    refine them, sweep position j of every unconverged snapshot in one
-    stacked Newton solve. A snapshot leaves the stack after the first
-    sweep that moved none of its cosines by ``_MOVE_TOL`` or more, so it
-    runs the sweeps it would run alone; with one source, only a snapshot
-    whose first ascent stopped unconverged sweeps at all.
+    over the stack, `_GRID_SLICE_POINTS`) and ascend their profiled terms
+    on it; one stacked Newton solve of the joint objective F over every
+    snapshot's 2K cosines, in processing order, then refines them
+    together. With one source F is the profiled term the first ascent
+    climbed, so only a snapshot whose first ascent stopped unconverged
+    ascends again.
 
     Returns an `AoaPosteriors`; with ``diagnostics`` its ``traces`` hold
-    one non-decreasing joint-objective trace per snapshot (a value per
-    sweep). Raises ValueError on non-finite samples, a noise power that is
-    not finite and positive, a non-finite prior mean, a negative or
-    non-finite concentration, an amplitude variance that is not positive
-    (NaN included), or inputs of mismatched shapes.
+    one non-decreasing trace of F per snapshot: its value after the first
+    ascents and at every accepted joint step. Raises ValueError on
+    non-finite samples, a noise power that is not finite and positive, a
+    non-finite prior mean, a negative or non-finite concentration, an
+    amplitude variance that is not positive (NaN included), or inputs of
+    mismatched shapes.
     """
     y, sigw2, chi, kappa, prior_var = _checked_inputs(
         samples, noise_power, prior_chi, prior_kappa, coeff_prior_var
@@ -222,7 +297,7 @@ def estimate_aoa_posteriors(
     post_var = 1.0 / (nx * ny / sigw2 + 1.0 / prior_var)
     weights = post_var / sigw2**2
     every = np.arange(b_count)
-    # (B, K): the source at each sweep position (lexsort is stable)
+    # (B, K): the source at each processing position (lexsort is stable)
     order = np.lexsort((chi[..., 1], chi[..., 0], -np.sum(kappa, axis=-1)), axis=-1)
     phis = np.zeros((b_count, k_count, 2))
     coeffs = np.zeros((b_count, k_count), dtype=np.complex128)
@@ -242,22 +317,9 @@ def estimate_aoa_posteriors(
         g = _projections(resid, phis[rows, ks], order=0)
         return post_var[rows, ks] / sigw2[rows, 0] * g
 
-    def model(rows):  # (b, K, nx, ny): every source of the snapshots rows
-        steer = subarray_steering(nx, ny, phis[rows, :, 0], phis[rows, :, 1])
-        return coeffs[rows, :, None, None] * steer
-
-    def leave_one_out(rows, ks):
-        """y minus every source of the snapshots ``rows`` but ``ks``."""
-        if k_count == 1:
-            return y[rows]
-        others = np.arange(k_count) != ks[:, None]
-        return y[rows] - np.sum(model(rows) * others[:, :, None, None], axis=1)
-
-    def joint_objective(rows):
-        misfit = np.abs(y[rows] - np.sum(model(rows), axis=1)) ** 2
-        val = -np.sum(misfit, axis=(1, 2)) / sigw2[rows, 0]
-        val -= np.sum(np.abs(coeffs[rows]) ** 2 / prior_var[rows], axis=1)
-        return val + np.sum(kappa[rows] * np.cos(np.pi * phis[rows] - chi[rows]), axis=(1, 2))
+    def model(at):  # (..., nx, ny): the sources phis[at] at their gains
+        phi = phis[at]
+        return coeffs[at][..., None, None] * subarray_steering(nx, ny, phi[..., 0], phi[..., 1])
 
     resid = y.copy()
     for j in range(k_count):
@@ -266,33 +328,56 @@ def estimate_aoa_posteriors(
         fits = ascend(resid, every, ks, start)
         phis[every, ks] = fits.mean
         coeffs[every, ks] = coeff_update(resid, every, ks)
-        resid = resid - model(every)[every, ks]
+        resid = resid - model((every, ks))
 
-    traces = [[value] for value in joint_objective(every)] if diagnostics else None
-    # one source: a sweep would repeat its converged ascent on the same residual
-    active = every if k_count > 1 else every[~fits.converged]
-    for _ in range(opts.max_sweeps):
-        if active.size == 0:
-            break
-        max_move = np.zeros(active.size)
-        for j in range(k_count):
-            ks = order[active, j]
-            resid_k = leave_one_out(active, ks)
-            new_phi = ascend(resid_k, active, ks, phis[active, ks]).mean
-            max_move = np.maximum(max_move, np.max(np.abs(new_phi - phis[active, ks]), axis=1))
-            phis[active, ks] = new_phi
-            coeffs[active, ks] = coeff_update(resid_k, active, ks)
-        if diagnostics:
-            for b, value in zip(active, joint_objective(active)):
+    # the joint solve over (B, K, 2) cosines in processing order
+    in_order = (every[:, None], order)
+    if k_count == 1:
+        kernel, shape = _profiled_terms, (-1, 2)
+        args = (chi[:, 0], kappa[:, 0], weights[:, 0])
+    else:
+        kernel, shape = _joint_terms, (-1, k_count, 2)
+        ridge = sigw2 / prior_var[in_order]
+        # plus a floor at the rounding of G's nx- and ny-term sums, relative
+        # to its trace: coincident cosines under a flat amplitude prior
+        # make A^H A singular
+        gram_trace = k_count * nx * ny + np.sum(ridge, axis=1, keepdims=True)
+        ridge += (nx + ny) * np.finfo(float).eps * gram_trace
+        args = (chi[in_order], kappa[in_order], ridge, sigw2[:, 0])
+
+    def terms(x, snaps, deriv):
+        return kernel(y[snaps], x.reshape(shape), *(a[snaps] for a in args), order=deriv)
+
+    rows = every if k_count > 1 else every[~fits.converged]
+    start = phis[in_order].reshape(b_count, -1)
+    traces = [[] for _ in every] if diagnostics else None
+
+    def derivatives(x, idx):
+        out = terms(x, rows[idx], 2)
+        if diagnostics:  # the solver evaluates these at the start and each accepted point
+            for b, value in zip(rows[idx], out[0]):
                 traces[b].append(value)
-        active = active[max_move >= _MOVE_TOL]
+        return out
+
+    if rows.size:
+        fit = newton_fits(lambda x, idx: terms(x, rows[idx], 0), derivatives, start[rows])
+        phis[rows[:, None], order[rows]] = fit.mean.reshape(rows.size, k_count, 2)
+    if diagnostics and k_count == 1:  # a converged first ascent's one value
+        idle = np.setdiff1d(every, rows)
+        for b, value in zip(idle, terms(start[idle], idle, 0)):
+            traces[b].append(value)
+    if k_count > 1:
+        moments, _, system = _gram_system(y, phis[in_order], ridge, 0)
+        coeffs[in_order] = np.linalg.solve(system, moments[:, :, 0])[..., 0]
 
     coeff_mean = np.empty_like(coeffs)
     kappa_post = np.empty_like(kappa)
     fallback = np.empty(kappa.shape, dtype=bool)
+    fitted = model(slice(None)) if k_count > 1 else None
     for k in range(k_count):
         ks = np.full(b_count, k)
-        resid_k = leave_one_out(every, ks)
+        # y less every other source at its gain
+        resid_k = y - (np.sum(fitted, axis=1) - fitted[:, k]) if k_count > 1 else y
         _, _, hess = _profiled_terms(resid_k, phis[:, k], chi[:, k], kappa[:, k], weights[:, k])
         coeff_mean[:, k] = coeff_update(resid_k, every, ks)
         curv = np.diagonal(hess, axis1=1, axis2=2)

@@ -4,8 +4,9 @@ Stage one treats the *entire* BS array as if every source were in its far
 field and estimates one direction-cosine pair per source and slot with
 the estimator's own line-spectral routine (`aoa.estimate_aoa_posteriors`),
 one call over all slots' snapshots with flat priors: each source starts
-at the periodogram peak of the running residual and is refined by joint
-coordinate-ascent sweeps. The components of every slot are then matched
+at the periodogram peak of the running residual, and one joint Newton
+solve refines every source's cosines together, the amplitudes eliminated
+by least squares. The components of every slot are then matched
 to slot 0's, ordered by amplitude, to form one cosine track per MS.
 Stage two fits each MS pose to its cosine track by least squares, as one
 stacked analytic-Newton solve (`circular.newton_fits`, the estimator's

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .aoa import AoaOptions, estimate_aoa_posteriors, match_components
+from .aoa import estimate_aoa_posteriors, match_components
 from .channel import ReceivedSignal, ScenarioConfig
 from .circular import gaussian_to_vm_stack, information_product, newton_fits, vm_extrinsic_stack
 
@@ -80,7 +80,6 @@ class EstimatorConfig:
     attitude_prior_chi: tuple = (0.0, 0.0, 0.0)
     attitude_prior_kappa: tuple = (1e-6, 1e-6, 1e-6)
     nominal_range: float | None = None
-    aoa: AoaOptions = AoaOptions()
 
     def __post_init__(self):
         iters = self.iterations
@@ -611,7 +610,6 @@ def aoa_module_pass(
             prior_chi[group.members].reshape(cells + (2,)),
             prior_kappa[group.members].reshape(cells + (2,)),
             np.full(cells, cfg.coeff_prior_var),
-            cfg.aoa,
         )
         found = (post.chi, post.kappa, post.coeff_mean, post.curvature_fallback)
         for out, got in zip((chi, kappa, coeff, fallback), found):

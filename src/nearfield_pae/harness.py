@@ -443,7 +443,6 @@ _ESTIMATOR_KEYS = {
     "position_prior_std": float,
     "attitude_prior_kappa": float,
     "coeff_prior_var": float,
-    "max_sweeps": int,
 }
 
 _SWEEP_KEYS = {
@@ -564,10 +563,6 @@ def estimator_from_config(cfg: dict) -> EstimatorConfig:
         kwargs["attitude_prior_kappa"] = (k, k, k)
     if "coeff_prior_var" in est:
         kwargs["coeff_prior_var"] = est.pop("coeff_prior_var")
-    if "max_sweeps" in est:
-        from .aoa import AoaOptions
-
-        kwargs["aoa"] = AoaOptions(max_sweeps=est.pop("max_sweeps"))
     if est:
         raise ConfigError(f"unhandled estimator keys: {sorted(est)}")
     return EstimatorConfig(**kwargs)

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nearfield_pae import engine
-from nearfield_pae.aoa import _profiled_terms, _projections, estimate_aoa_posteriors
+from nearfield_pae.aoa import (
+    _joint_terms,
+    _profiled_terms,
+    _projections,
+    estimate_aoa_posteriors,
+)
 from nearfield_pae.channel import (
     desk_scale_scenario,
     draw_poses,
@@ -83,6 +88,23 @@ class TestStackedSolve:
             assert len(trace) == len(alone_trace)
             assert np.allclose(stacked.cosines[b], alone.cosines[0], rtol=0.0, atol=1e-12)
             assert np.array_equal(stacked.curvature_fallback[b], alone.curvature_fallback[0])
+
+    def test_three_sources_stack_equals_single_solves(self):
+        rng = np.random.default_rng(11)
+        sep = 5.0 / 8
+        snapshots, priors = [], []
+        for kappa in (1e-7, 30.0, 300.0, 1e-7):
+            base = rng.uniform((-0.8, -0.7), (-0.5, 0.1))
+            phis = [base, base + (sep, sep), base + (2 * sep, 0.0)]
+            amps = rng.uniform(1e-4, 2e-4, 3) * np.exp(2j * np.pi * rng.random(3))
+            snapshots.append(two_source_snapshot(rng, list(zip(amps, map(tuple, phis)))))
+            priors.append([prior(phi, (kappa, kappa)) for phi in phis])
+        stacked = solve(snapshots, priors, diagnostics=True)
+        for b, (snap, pri, trace) in enumerate(zip(snapshots, priors, stacked.traces)):
+            alone = solve([snap], [pri], diagnostics=True)
+            assert len(trace) == len(alone.traces[0])
+            assert np.allclose(stacked.cosines[b], alone.cosines[0], rtol=0.0, atol=1e-12)
+            assert np.allclose(stacked.kappa[b], alone.kappa[0], rtol=1e-9, atol=0.0)
 
     def test_mismatched_stack_rejected(self):
         snapshots, priors = self.mixed_stack()
@@ -184,6 +206,35 @@ class TestProfiledObjective:
         assert abs(g[0] - n * coeff) <= 1e-12 * n * abs(coeff)
         # the periodogram |g|^2 peaks at the wave's own cosines
         assert np.allclose(np.real(np.conj(g[0]) * dg[0]), 0.0, atol=1e-9 * abs(g[0]) ** 2)
+
+
+class TestJointObjective:
+    @given(seed=st.integers(0, 2**32 - 1), k_count=st.sampled_from([2, 3]), flat=st.booleans())
+    def test_derivatives_match_finite_differences(self, seed, k_count, flat):
+        """`_joint_terms`' gradient and Hessian against central
+        differences of its value, under flat (zero ridge) and finite
+        amplitude priors, with sources at least 0.4 apart in phi_x."""
+        rng = np.random.default_rng(seed)
+        nx, ny = 8, 6
+        y = rng.standard_normal((1, nx, ny)) + 1j * rng.standard_normal((1, nx, ny))
+        phi = np.stack(
+            [-0.6 + 0.6 * np.arange(k_count), rng.uniform(-0.8, 0.8, k_count)], axis=-1
+        )[None] + rng.uniform(-0.1, 0.1, (1, k_count, 2))
+        chi = rng.uniform(-np.pi, np.pi, (1, k_count, 2))
+        kappa = rng.uniform(0.0, 5.0, (1, k_count, 2))
+        ridge = np.zeros((1, k_count)) if flat else rng.uniform(0.1, 2.0, (1, k_count))
+        sigw2 = rng.uniform(0.5, 2.0, 1)
+
+        def value(x):
+            return _joint_terms(y, x.reshape(phi.shape), chi, kappa, ridge, sigw2, order=0)[0]
+
+        f, grad, hess = _joint_terms(y, phi, chi, kappa, ridge, sigw2)
+        assert f[0] == pytest.approx(value(phi.ravel()), rel=1e-12)
+        scale = max(1.0, np.abs(hess).max())
+        fd_grad = finite_diff_gradient(value, phi.ravel())
+        assert np.allclose(grad[0], fd_grad, rtol=0.0, atol=1e-8 * scale)
+        fd_hess = finite_diff_hessian(value, phi.ravel())
+        assert np.allclose(hess[0], fd_hess, rtol=0.0, atol=1e-5 * scale)
 
 
 class TestVonMisesAlgebra:
