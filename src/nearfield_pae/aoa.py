@@ -300,7 +300,6 @@ def estimate_aoa_posteriors(
     # (B, K): the source at each processing position (lexsort is stable)
     order = np.lexsort((chi[..., 1], chi[..., 0], -np.sum(kappa, axis=-1)), axis=-1)
     phis = np.zeros((b_count, k_count, 2))
-    coeffs = np.zeros((b_count, k_count), dtype=np.complex128)
 
     def ascend(resid, rows, ks, start):
         args = (chi[rows, ks], kappa[rows, ks], weights[rows, ks])
@@ -317,18 +316,14 @@ def estimate_aoa_posteriors(
         g = _projections(resid, phis[rows, ks], order=0)
         return post_var[rows, ks] / sigw2[rows, 0] * g
 
-    def model(at):  # (..., nx, ny): the sources phis[at] at their gains
-        phi = phis[at]
-        return coeffs[at][..., None, None] * subarray_steering(nx, ny, phi[..., 0], phi[..., 1])
-
     resid = y.copy()
     for j in range(k_count):
         ks = order[:, j]
         start = _periodogram_starts(resid, chi[every, ks], kappa[every, ks], weights[every, ks])
         fits = ascend(resid, every, ks, start)
         phis[every, ks] = fits.mean
-        coeffs[every, ks] = coeff_update(resid, every, ks)
-        resid = resid - model((every, ks))
+        gain = coeff_update(resid, every, ks)
+        resid = resid - gain[:, None, None] * subarray_steering(nx, ny, *fits.mean.T)
 
     # the joint solve over (B, K, 2) cosines in processing order
     in_order = (every[:, None], order)
@@ -337,13 +332,13 @@ def estimate_aoa_posteriors(
         args = (chi[:, 0], kappa[:, 0], weights[:, 0])
     else:
         kernel, shape = _joint_terms, (-1, k_count, 2)
-        ridge = sigw2 / prior_var[in_order]
+        ridge = sigw2 / prior_var
         # plus a floor at the rounding of G's nx- and ny-term sums, relative
         # to its trace: coincident cosines under a flat amplitude prior
         # make A^H A singular
         gram_trace = k_count * nx * ny + np.sum(ridge, axis=1, keepdims=True)
         ridge += (nx + ny) * np.finfo(float).eps * gram_trace
-        args = (chi[in_order], kappa[in_order], ridge, sigw2[:, 0])
+        args = (chi[in_order], kappa[in_order], ridge[in_order], sigw2[:, 0])
 
     def terms(x, snaps, deriv):
         return kernel(y[snaps], x.reshape(shape), *(a[snaps] for a in args), order=deriv)
@@ -366,23 +361,26 @@ def estimate_aoa_posteriors(
         idle = np.setdiff1d(every, rows)
         for b, value in zip(idle, terms(start[idle], idle, 0)):
             traces[b].append(value)
-    if k_count > 1:
-        moments, _, system = _gram_system(y, phis[in_order], ridge, 0)
-        coeffs[in_order] = np.linalg.solve(system, moments[:, :, 0])[..., 0]
-
-    coeff_mean = np.empty_like(coeffs)
-    kappa_post = np.empty_like(kappa)
-    fallback = np.empty(kappa.shape, dtype=bool)
-    fitted = model(slice(None)) if k_count > 1 else None
-    for k in range(k_count):
-        ks = np.full(b_count, k)
-        # y less every other source at its gain
-        resid_k = y - (np.sum(fitted, axis=1) - fitted[:, k]) if k_count > 1 else y
-        _, _, hess = _profiled_terms(resid_k, phis[:, k], chi[:, k], kappa[:, k], weights[:, k])
-        coeff_mean[:, k] = coeff_update(resid_k, every, ks)
-        curv = np.diagonal(hess, axis1=1, axis2=2)
-        fallback[:, k] = curv >= 0
-        kappa_post[:, k] = np.where(fallback[:, k], kappa[:, k], -curv / np.pi**2)
+    # the curvature of each source's profiled term on y less the other
+    # sources at their gains, and its amplitude's posterior mean
+    if k_count == 1:
+        _, _, hess = _profiled_terms(y, phis[:, 0], chi[:, 0], kappa[:, 0], weights[:, 0])
+        curv = np.diagonal(hess, axis1=1, axis2=2)[:, None]
+        coeff_mean = coeff_update(y, every, order[:, 0])[:, None]
+    else:
+        # at the joint gains; that residual's moments are the joint
+        # residual's plus the source's own
+        moments, gram, system = _gram_system(y, phis, ridge, 2)
+        gains = np.linalg.solve(system, moments[:, :, 0, :1])[..., 0]
+        each = np.arange(k_count)
+        loo = moments - np.einsum("blmpq,bm->blpq", gram, gains)
+        loo += gram[:, each, each] * gains[..., None, None]
+        g, dg, ddg = loo[..., 0, 0], loo[..., (1, 0), (0, 1)], loo[..., (2, 0), (0, 2)]
+        curv = 2.0 * weights[..., None] * np.real(np.conj(dg) * dg + np.conj(g)[..., None] * ddg)
+        curv -= np.pi**2 * kappa * np.cos(np.pi * phis - chi)
+        coeff_mean = post_var / sigw2 * g
+    fallback = curv >= 0
+    kappa_post = np.where(fallback, kappa, -curv / np.pi**2)
     # cosines wrapped to [-1, 1)
     chi_post, kappa_post = vm_normalize(np.pi * (np.mod(phis + 1.0, 2.0) - 1.0), kappa_post)
     return AoaPosteriors(
