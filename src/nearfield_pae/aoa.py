@@ -7,7 +7,7 @@ cosines, with complex amplitudes under zero-mean Gaussian priors of
 variances v. Estimation maximizes the joint MAP objective with the
 amplitudes eliminated in closed form (variable projection: Golub &
 Pereyra, Inverse Problems 2003; Viberg, Ottersten & Kailath, IEEE TSP
-1991)::
+1991), up to a constant::
 
     F(phi) = b^H G^-1 b / sigma_w^2 + log prior(phi),
     b = A^H y,  G = A^H A + sigma_w^2 diag(1 / v),
@@ -16,11 +16,12 @@ whose maximizing amplitudes are the ridge gains G^-1 b. With one source F
 is the profiled objective v' / sigma_w^4 |<steer(phi), y>|^2 + log
 prior(phi), v' the amplitude's posterior variance. Posterior
 concentrations come from the negated curvature of each source's profiled
-term at the maximizer, the other sources held at their gains. A flat
+term at the maximizer, the other sources held at their ridge gains. A flat
 prior (concentration 0, infinite amplitude variance) reduces F to the
-least-squares projection of y onto the K steering vectors, which is how
-the far-field baseline uses the same routine (VALSE treats both cases in
-one routine: Badiu, Hansen & Fleury, IEEE TSP 2017).
+energy of y's least-squares projection onto the K steering vectors (the
+periodogram at one source), which is how the far-field baseline uses the
+same routine (VALSE treats both cases in one routine: Badiu, Hansen &
+Fleury, IEEE TSP 2017).
 
 `estimate_aoa_posteriors` solves a stack of snapshots at once: sliced
 periodogram starts and a 2-D ascent for one source after another, one
