@@ -37,7 +37,7 @@ from .circular import (
     vm_log_pdf,
     vm_multiply,
 )
-from .engine import EstimatorConfig, MessageState, PoseEstimate, run
+from .engine import MessageState, PoseEstimate, run
 from .geometry import (
     EulerAngles,
     Pose,

@@ -50,9 +50,9 @@ def _load(args):
     plan = uniform_partition(
         scenario.bs, part.get("mx", 4), part.get("my", 4), scenario.lam
     )
-    partitioned = estimator_from_config(cfg)
+    iterations = estimator_from_config(cfg)
     seed = args.seed if args.seed is not None else cfg.get("sweep", {}).get("seed", 0)
-    return cfg, scenario, plan, partitioned, seed
+    return cfg, scenario, plan, iterations, seed
 
 
 def _pose_csv(path, rows):
@@ -87,7 +87,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _run_single(args, estimator: str) -> int:
-    _, scenario, plan, partitioned, seed = _load(args)
+    _, scenario, plan, iterations, seed = _load(args)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     if getattr(args, "signal", None):
         signal, _ = load_signal(args.signal)
@@ -95,7 +95,7 @@ def _run_single(args, estimator: str) -> int:
         poses = draw_poses(scenario, rng)
         signal = simulate_received(scenario, rng, poses)
     if estimator == "partitioned":
-        ests = engine.run(signal, scenario, plan, partitioned)
+        ests = engine.run(signal, scenario, plan, iterations)
     else:
         ests = run_baseline(signal, scenario)
     _pose_csv(args.out, [(estimator, k + 1, e) for k, e in enumerate(ests)])

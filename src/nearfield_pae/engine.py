@@ -25,12 +25,18 @@ fits again in one stacked solve.
 
 Stage functions return their flags as (MS index, name) pairs, and `run`
 hands every MS its own flags on the returned `PoseEstimate`.
+
+The iteration count is the estimator's one setting. Its priors are fixed
+and non-informative (`SIGMA_INI`, `POSE_PRIOR`), and what depends on the
+scene comes from the scenario: the nominal range seeds and guards the
+position fits, and the angle stage's amplitude prior variance is the
+link budget at that range (`coeff_prior_var`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,71 +63,31 @@ from .partition import PartitionPlan, subarray_groups
 _KAPPA_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Estimator controls.
+# the initial antenna-position messages' standard deviation (m): mean
+# [0, 0, 1] with this spread carries no information at any scene range
+SIGMA_INI = 1e3
 
-    ``iterations = None`` resolves to one pass for a single MS and five
-    for multiple MSs. ``coeff_prior_var = None`` resolves to the nominal
-    link budget at ``nominal_range``; ``inf`` is a flat amplitude prior.
-    Position and attitude priors default to non-informative values.
-    Raises ValueError at construction on an iteration count that is not
-    an integer >= 1, a ``sigma_ini`` that is not finite and positive, a
-    ``coeff_prior_var`` that is not positive, a ``position_prior_std``
-    that is not positive, an ``attitude_prior_chi`` that is not finite, an
-    ``attitude_prior_kappa`` that is not finite and >= 0, or a
-    ``nominal_range`` that is not finite and positive.
-    """
 
-    iterations: int | None = None
-    sigma_ini: float = 1e3
-    coeff_prior_var: float | None = None
-    position_prior_std: float = 1e3
-    attitude_prior_chi: tuple = (0.0, 0.0, 0.0)
-    attitude_prior_kappa: tuple = (1e-6, 1e-6, 1e-6)
-    nominal_range: float | None = None
+def iteration_count(iterations, num_ms: int) -> int:
+    """The estimator's pass count: ``iterations``, or when it is None one
+    pass for a single MS and five for several. Raises ValueError unless
+    ``iterations`` is None or an integer >= 1."""
+    if iterations is None:
+        return 1 if num_ms == 1 else 5
+    if not (isinstance(iterations, (int, np.integer)) and iterations >= 1):
+        raise ValueError(f"iterations must be an integer >= 1, got {iterations}")
+    return int(iterations)
 
-    def __post_init__(self):
-        iters = self.iterations
-        if iters is not None and not (isinstance(iters, (int, np.integer)) and iters >= 1):
-            raise ValueError(f"iterations must be an integer >= 1, got {iters}")
-        if not (math.isfinite(self.sigma_ini) and self.sigma_ini > 0):
-            raise ValueError(f"sigma_ini must be finite and positive, got {self.sigma_ini}")
-        var = self.coeff_prior_var
-        if var is not None and not var > 0:
-            raise ValueError(f"coeff_prior_var must be positive (inf is a flat prior), got {var}")
-        if not self.position_prior_std > 0:
-            raise ValueError(f"position_prior_std must be positive, got {self.position_prior_std}")
-        if not np.all(np.isfinite(self.attitude_prior_chi)):
-            raise ValueError(f"attitude_prior_chi must be finite, got {self.attitude_prior_chi}")
-        kappa = np.asarray(self.attitude_prior_kappa, dtype=float)
-        if not np.all(np.isfinite(kappa) & (kappa >= 0)):
-            raise ValueError(f"attitude_prior_kappa must be finite and >= 0, got {kappa}")
-        r_nom = self.nominal_range
-        if r_nom is not None and not (math.isfinite(r_nom) and r_nom > 0):
-            raise ValueError(f"nominal_range must be finite and positive, got {r_nom}")
 
-    def resolve(self, scenario: ScenarioConfig) -> "EstimatorConfig":
-        """Fill in scenario-dependent defaults."""
-        iters = self.iterations
-        if iters is None:
-            iters = 1 if scenario.num_ms == 1 else 5
-        r_nom = self.nominal_range
-        if r_nom is None:
-            r_nom = scenario.nominal_range
-        var = self.coeff_prior_var
-        if var is None:
-            beta = float(np.mean(scenario.antenna_gains))
-            amp = math.sqrt(scenario.tx_power_w) * beta * scenario.lam / (
-                4.0 * math.pi * r_nom
-            )
-            var = max(amp * amp, 1e-300)
-        return replace(
-            self,
-            iterations=int(iters),
-            coeff_prior_var=float(var),
-            nominal_range=float(r_nom),
-        )
+def coeff_prior_var(scenario: ScenarioConfig) -> float:
+    """The angle stage's amplitude prior variance: the squared link-budget
+    amplitude sqrt(P) beta lambda / (4 pi r) at the scenario's nominal
+    range r, with beta the mean antenna gain."""
+    beta = float(np.mean(scenario.antenna_gains))
+    amp = math.sqrt(scenario.tx_power_w) * beta * scenario.lam / (
+        4.0 * math.pi * scenario.nominal_range
+    )
+    return max(amp * amp, 1e-300)
 
 
 @dataclass
@@ -149,13 +115,13 @@ class MessageState:
         return self.prior_mean.shape[:3]
 
 
-def init_messages(m_count: int, k_count: int, t_count: int, cfg: EstimatorConfig) -> MessageState:
+def init_messages(m_count: int, k_count: int, t_count: int) -> MessageState:
     """Initial antenna-position messages: mean [0, 0, 1], covariance
-    sigma_ini^2 I, identically for every (subarray, MS, slot)."""
+    SIGMA_INI^2 I, identically for every (subarray, MS, slot)."""
     mean = np.zeros((m_count, k_count, t_count, 3))
     mean[..., 2] = 1.0
     cov = np.zeros((m_count, k_count, t_count, 3, 3))
-    cov[...] = cfg.sigma_ini**2 * np.eye(3)
+    cov[...] = SIGMA_INI**2 * np.eye(3)
     return MessageState(
         prior_mean=mean,
         prior_cov=cov,
@@ -287,14 +253,15 @@ def _diverged(means: np.ndarray, nominal_range: float) -> np.ndarray:
     return (np.linalg.norm(means, axis=-1) > 50.0 * nominal_range) | (means[..., 2] <= 0.0)
 
 
-def fuse_antenna_position(state: MessageState, plan: PartitionPlan, cfg: EstimatorConfig):
+def fuse_antenna_position(state: MessageState, plan: PartitionPlan, nominal_range: float):
     """Laplace-fit, for every (MS, slot), the product of all subarrays'
     cosine beliefs about that activated antenna, in one stacked solve.
 
     Writes ``fused_mean``, ``fused_prec`` and ``fused_ok``; a flat
     composite, or one whose fit runs away or ends on or behind the BS
-    plane (z <= 0), keeps its start point with precision I / sigma_ini^2.
-    Returns (MS, flag) pairs.
+    plane (z <= 0), keeps its start point with precision I / SIGMA_INI^2.
+    A start comes from `triangulate_init` at ``nominal_range``, which
+    also scales the runaway test. Returns (MS, flag) pairs.
     """
     m_count, k_count, t_count = state.shape
     refs = plan.reference_positions()
@@ -308,8 +275,8 @@ def fuse_antenna_position(state: MessageState, plan: PartitionPlan, cfg: Estimat
         elif state.iteration > 0 and state.fused_ok[k, t]:
             mean[b] = state.fused_mean[k, t]
         else:
-            mean[b] = triangulate_init(refs, chis[b], kappas[b], cfg.nominal_range)
-    prec = np.tile(np.eye(3) / cfg.sigma_ini**2, (k_count * t_count, 1, 1))
+            mean[b] = triangulate_init(refs, chis[b], kappas[b], nominal_range)
+    prec = np.tile(np.eye(3) / SIGMA_INI**2, (k_count * t_count, 1, 1))
     ok = np.zeros(k_count * t_count, dtype=bool)
     nonconverged, regularized, diverged = (np.zeros_like(ok) for _ in range(3))
     solve = np.flatnonzero(~flat)
@@ -318,7 +285,7 @@ def fuse_antenna_position(state: MessageState, plan: PartitionPlan, cfg: Estimat
         nonconverged[solve] = ~fits.converged
         regularized[solve] = fits.regularized
         # a diverged problem keeps its start with the non-informative precision
-        diverged[solve] = _diverged(fits.mean, cfg.nominal_range)
+        diverged[solve] = _diverged(fits.mean, nominal_range)
         kept = ~diverged[solve]
         mean[solve[kept]] = fits.mean[kept]
         prec[solve[kept]] = fits.precision[kept]
@@ -365,12 +332,9 @@ class PosePrior:
         return value, grad, diag
 
 
-def _estimator_prior(cfg: EstimatorConfig) -> PosePrior:
-    return PosePrior(
-        cfg.position_prior_std,
-        np.asarray(cfg.attitude_prior_chi, dtype=float),
-        np.asarray(cfg.attitude_prior_kappa, dtype=float),
-    )
+# the estimator's pose prior, non-informative: zero-mean position with a
+# 1e3 m spread, and attitude concentration 1e-6 about 0 on every axis
+POSE_PRIOR = PosePrior(1e3, np.zeros(3), np.full(3, 1e-6))
 
 
 def pose_terms(
@@ -445,15 +409,16 @@ def procrustes_pose(obs_means: np.ndarray, q_locals: np.ndarray) -> np.ndarray:
     return np.concatenate([p, angles.as_array()])
 
 
-def update_pose_messages(state: MessageState, q_locals: np.ndarray, cfg: EstimatorConfig):
+def update_pose_messages(state: MessageState, q_locals: np.ndarray):
     """Leave-one-slot-out MAP pose messages of every MS, in one stacked
     solve, pushed back to the antennas.
 
     Problem (k, t) fits MS k's pose to the fused antenna positions of its
     other slots (those fused successfully, or all others if none was),
-    weighted by their fusion precisions; its 6x6 Laplace covariance gives
-    the position and attitude blocks. Writes the pose messages and their
-    projections `project_pose_to_antennas`; returns (MS, flag) pairs.
+    weighted by their fusion precisions, under `POSE_PRIOR`; its 6x6
+    Laplace covariance gives the position and attitude blocks. Writes the
+    pose messages and their projections `project_pose_to_antennas`;
+    returns (MS, flag) pairs.
     """
     k_count, t_count = state.fused_mean.shape[:2]
     others = ~np.eye(t_count, dtype=bool)
@@ -467,7 +432,7 @@ def update_pose_messages(state: MessageState, q_locals: np.ndarray, cfg: Estimat
         init = state.pose_mean.reshape(-1, 6)
     else:
         init = np.array([procrustes_pose(o[u], q_locals[u]) for o, u in zip(obs, use)])
-    fits = pose_fits(obs, weights, q_locals, _estimator_prior(cfg), init)
+    fits = pose_fits(obs, weights, q_locals, POSE_PRIOR, init)
     state.pose_mean[:] = fits.mean.reshape(k_count, t_count, 6)
     state.pose_cov_p[:] = fits.cov[:, :3, :3].reshape(k_count, t_count, 3, 3)
     state.pose_cov_theta[:] = fits.cov[:, 3:, 3:].reshape(k_count, t_count, 3, 3)
@@ -499,7 +464,7 @@ def project_pose_to_antennas(state: MessageState, q_locals: np.ndarray) -> tuple
     return mean, 0.5 * (cov + np.swapaxes(cov, -1, -2))
 
 
-def feedback_messages(state: MessageState, plan: PartitionPlan, cfg: EstimatorConfig):
+def feedback_messages(state: MessageState, plan: PartitionPlan, nominal_range: float):
     """Next-iteration antenna-position messages of every (subarray, MS,
     slot), with all leave-one-subarray-out fits in one stacked solve.
 
@@ -530,7 +495,7 @@ def feedback_messages(state: MessageState, plan: PartitionPlan, cfg: EstimatorCo
     solve = np.flatnonzero(~flat)
     if solve.size:
         fits = composite_fits(refs, chis[solve], kappas[solve], inits[solve])
-        diverged[solve] = _diverged(fits.mean, cfg.nominal_range)
+        diverged[solve] = _diverged(fits.mean, nominal_range)
         keep = np.flatnonzero(~fits.regularized & ~diverged[solve])
         eta_prec = np.linalg.inv(eta_cov.reshape(-1, 3, 3)[solve[keep]])
         # a fit precision's rounding (eps times eigenvalues up to ~1e21)
@@ -583,15 +548,17 @@ def aoa_module_pass(
     signal: ReceivedSignal,
     plan: PartitionPlan,
     scenario: ScenarioConfig,
-    cfg: EstimatorConfig,
 ):
     """Run the line-spectral stage on every (subarray, slot) and store the
     extrinsic cosine beliefs; returns (MS, flag) pairs. The snapshots of
     all subarrays of one shape, in every slot, go to one stacked
     `estimate_aoa_posteriors` call; priors, posteriors and extrinsic
-    beliefs stay arrays indexed (subarray, slot, MS)."""
+    beliefs stay arrays indexed (subarray, slot, MS). The noise power and
+    the amplitude prior variance (`coeff_prior_var`) come from
+    ``scenario``."""
     k_count = state.shape[1]
     refs = plan.reference_positions()
+    coeff_var = coeff_prior_var(scenario)
     # (M, T, K, 2): the von Mises prior of every (subarray, slot, MS)
     prior_chi, prior_kappa = (
         a.transpose(0, 2, 1, 3)
@@ -609,7 +576,7 @@ def aoa_module_pass(
             np.full(cells[0], scenario.noise_power_w),
             prior_chi[group.members].reshape(cells + (2,)),
             prior_kappa[group.members].reshape(cells + (2,)),
-            np.full(cells, cfg.coeff_prior_var),
+            np.full(cells, coeff_var),
         )
         found = (post.chi, post.kappa, post.coeff_mean, post.curvature_fallback)
         for out, got in zip((chi, kappa, coeff, fallback), found):
@@ -653,13 +620,10 @@ class PoseEstimate:
         return Pose(self.position, self.attitude)
 
 
-def final_map(
-    state: MessageState, q_locals: np.ndarray, cfg: EstimatorConfig
-) -> list:
-    """All-slots MAP pose of every MS, in one stacked solve on
-    `pose_terms`. MS k starts from the better, by that objective, of the
-    closed-form alignment fit and its last pose message."""
-    prior = _estimator_prior(cfg)
+def final_map(state: MessageState, q_locals: np.ndarray) -> list:
+    """All-slots MAP pose of every MS under `POSE_PRIOR`, in one stacked
+    solve on `pose_terms`. MS k starts from the better, by that objective,
+    of the closed-form alignment fit and its last pose message."""
     obs, weights = state.fused_mean, state.fused_prec
     starts = np.array([procrustes_pose(o, q_locals) for o in obs])[:, None]
     if state.have_pose:
@@ -670,11 +634,11 @@ def final_map(
         np.repeat(obs, count, axis=0),
         np.repeat(weights, count, axis=0),
         q_locals,
-        prior,
+        POSE_PRIOR,
         order=0,
     )
     init = starts[np.arange(k_count), np.argmax(scores.reshape(k_count, count), axis=1)]
-    fits = pose_fits(obs, weights, q_locals, prior, init)
+    fits = pose_fits(obs, weights, q_locals, POSE_PRIOR, init)
     out = []
     for k in range(k_count):
         fit = fits.problem(k)
@@ -702,13 +666,23 @@ def run(
     signal: ReceivedSignal,
     scenario: ScenarioConfig,
     plan: PartitionPlan,
-    cfg: EstimatorConfig | None = None,
+    iterations: int | None = None,
 ) -> list:
     """Full estimation pass: iterate angle and fusion stages, then output
     the MAP pose of every MS with the flags its stages raised.
-    Deterministic given (signal, config). Raises ValueError on a signal
-    of the wrong shape or with a non-finite sample."""
-    cfg = (cfg or EstimatorConfig()).resolve(scenario)
+
+    ``iterations`` passes run, by default one for a single MS and five for
+    several (`iteration_count`). Everything else is fixed or comes from
+    the scenario: the initial messages (`SIGMA_INI`) and the pose prior
+    (`POSE_PRIOR`) are non-informative, the amplitude prior is the link
+    budget at the nominal range (`coeff_prior_var`), and that range seeds
+    and guards the position fits. Deterministic given its arguments.
+    Raises ValueError on an iteration count that is not an integer >= 1,
+    a plan built for another array or wavelength
+    (`PartitionPlan.check_scene`), or a signal of the wrong shape or with
+    a non-finite sample."""
+    passes = iteration_count(iterations, scenario.num_ms)
+    plan.check_scene(scenario)
     m_count = plan.n_subarrays
     k_count = scenario.num_ms
     t_count = scenario.n_slots
@@ -719,16 +693,17 @@ def run(
         )
     signal.check_finite()
     q_locals = scenario.pattern.local_positions(scenario.ms, scenario.lam)
-    state = init_messages(m_count, k_count, t_count, cfg)
-    for iteration in range(cfg.iterations):
+    r_nom = scenario.nominal_range
+    state = init_messages(m_count, k_count, t_count)
+    for iteration in range(passes):
         state.iteration = iteration
-        state.flags += aoa_module_pass(state, signal, plan, scenario, cfg)
-        state.flags += fuse_antenna_position(state, plan, cfg)
-        state.flags += update_pose_messages(state, q_locals, cfg)
+        state.flags += aoa_module_pass(state, signal, plan, scenario)
+        state.flags += fuse_antenna_position(state, plan, r_nom)
+        state.flags += update_pose_messages(state, q_locals)
         state.have_pose = True
-        if iteration < cfg.iterations - 1:
-            state.flags += feedback_messages(state, plan, cfg)
-    estimates = final_map(state, q_locals, cfg)
+        if iteration < passes - 1:
+            state.flags += feedback_messages(state, plan, r_nom)
+    estimates = final_map(state, q_locals)
     for k, est in enumerate(estimates):
         stage_flags = tuple(name for kk, name in state.flags if kk == k)
         est.flags = tuple(dict.fromkeys(stage_flags + est.flags))

@@ -24,7 +24,7 @@ from .channel import (
     draw_poses,
     simulate_received,
 )
-from .engine import EstimatorConfig
+from .engine import iteration_count
 from .geometry import half_wavelength_ura, named_pattern, rotation_basis
 from .partition import uniform_partition
 
@@ -110,7 +110,7 @@ class SweepSpec:
     trials: int
     scenario: ScenarioConfig
     partition: tuple = (4, 4)
-    estimator_config: EstimatorConfig = EstimatorConfig()
+    iterations: int | None = None  # estimator passes; None: `engine.run`'s default
     estimators: tuple = ("partitioned",)
     with_bound: bool = False
     bound_trials: int = 8
@@ -125,6 +125,7 @@ class SweepSpec:
             )
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        iteration_count(self.iterations, self.scenario.num_ms)
         if not self.values:
             raise ConfigError("sweep needs at least one value")
         unknown = set(self.estimators) - {"partitioned", "baseline"}
@@ -187,7 +188,7 @@ def parse_range(text: str) -> tuple:
 class _TrialTask:
     scenario: ScenarioConfig
     partition: tuple
-    estimator_config: EstimatorConfig
+    iterations: int | None
     estimators: tuple
     compute_bound: bool
     base_seed: int
@@ -213,7 +214,7 @@ def _run_trial(task: _TrialTask) -> dict:
     for name in task.estimators:
         try:
             if name == "partitioned":
-                ests = engine.run(signal, scenario, plan, task.estimator_config)
+                ests = engine.run(signal, scenario, plan, task.iterations)
             else:
                 ests = run_baseline(signal, scenario)
             out["errors"][name] = trial_errors(ests, poses)
@@ -250,12 +251,11 @@ def _sweep_rows(spec: SweepSpec, run_map) -> list:
     rows = []
     for point_index, value in enumerate(spec.values):
         scenario, partition = apply_sweep_value(spec, value)
-        estimator_config = spec.estimator_config.resolve(scenario)
         tasks = [
             _TrialTask(
                 scenario=scenario,
                 partition=partition,
-                estimator_config=estimator_config,
+                iterations=spec.iterations,
                 estimators=spec.estimators,
                 compute_bound=spec.with_bound and trial < spec.bound_trials,
                 base_seed=spec.base_seed,
@@ -437,13 +437,7 @@ _SCENARIO_KEYS = {
 
 _PARTITION_KEYS = {"mx": int, "my": int}
 
-_ESTIMATOR_KEYS = {
-    "iterations": str,
-    "sigma_ini": float,
-    "position_prior_std": float,
-    "attitude_prior_kappa": float,
-    "coeff_prior_var": float,
-}
+_ESTIMATOR_KEYS = {"iterations": str}
 
 _SWEEP_KEYS = {
     "variable": str,
@@ -548,24 +542,12 @@ def scenario_from_config(cfg: dict) -> ScenarioConfig:
     return ScenarioConfig(**kwargs)
 
 
-def estimator_from_config(cfg: dict) -> EstimatorConfig:
-    est = dict(cfg.get("estimator", {}))
-    kwargs = {}
-    iters = est.pop("iterations", "auto")
-    if str(iters).lower() != "auto":
-        kwargs["iterations"] = int(iters)
-    if "sigma_ini" in est:
-        kwargs["sigma_ini"] = est.pop("sigma_ini")
-    if "position_prior_std" in est:
-        kwargs["position_prior_std"] = est.pop("position_prior_std")
-    if "attitude_prior_kappa" in est:
-        k = est.pop("attitude_prior_kappa")
-        kwargs["attitude_prior_kappa"] = (k, k, k)
-    if "coeff_prior_var" in est:
-        kwargs["coeff_prior_var"] = est.pop("coeff_prior_var")
-    if est:
-        raise ConfigError(f"unhandled estimator keys: {sorted(est)}")
-    return EstimatorConfig(**kwargs)
+def estimator_from_config(cfg: dict) -> int | None:
+    """The estimator's iteration count from ``[estimator] iterations``:
+    None for ``auto`` or no key, else the integer (`SweepSpec` and
+    `engine.run` reject one below 1)."""
+    iters = cfg.get("estimator", {}).get("iterations", "auto")
+    return None if iters.lower() == "auto" else int(iters)
 
 
 def sweep_from_config(cfg: dict, seed=None, threads=None) -> SweepSpec:
@@ -584,7 +566,7 @@ def sweep_from_config(cfg: dict, seed=None, threads=None) -> SweepSpec:
         trials=sw.pop("trials", 10),
         scenario=scenario_from_config(cfg),
         partition=(part.get("mx", 4), part.get("my", 4)),
-        estimator_config=estimator_from_config(cfg),
+        iterations=estimator_from_config(cfg),
         estimators=estimators,
         with_bound=sw.pop("with_bound", False),
         bound_trials=sw.pop("bound_trials", 8),

@@ -279,9 +279,12 @@ def pseudotrue_fit(
     converged when every gradient entry is below STATIONARITY_TOL times
     ||mu_exact||^2, whatever the solver reports.
 
-    Raises ValueError when a subarray has fewer antennas than there are
-    MSs: its K gains per slot are then not identifiable.
+    Raises ValueError when ``plan`` was built for another array or
+    wavelength (`PartitionPlan.check_scene`), or when a subarray has fewer
+    antennas than there are MSs: its K gains per slot are then not
+    identifiable.
     """
+    plan.check_scene(scenario)
     k_count = scenario.num_ms
     smallest = min(sub.nx * sub.ny for sub in plan.subarrays)
     if smallest < k_count:
@@ -415,7 +418,10 @@ def information_matrices(
     pseudotrue point: A = (2/sigma^2) (Re{eps^H d2mu} - Re{J^H J}) and
     B = (4/sigma^2) z z^T + (2/sigma^2) Re{J^H J}, from the terms of
     `_information_terms`. ``exact_mean_fn`` is injectable for tests.
+    Raises ValueError when the noise power is not positive or ``plan`` was
+    built for another array or wavelength (`PartitionPlan.check_scene`).
     """
+    plan.check_scene(scenario)
     if noise_power_w <= 0:
         raise ValueError("noise power must be positive")
     mu_true = (exact_mean_fn or exact_mean)(truth, scenario)
@@ -525,8 +531,9 @@ def compute_bound(
 ) -> McrbResult:
     """Convenience wrapper: pseudotrue fit, information matrices, bound.
 
-    Raises ValueError when a subarray has fewer antennas than there are
-    MSs (`pseudotrue_fit`) or when the noise power is not positive
+    Raises ValueError when ``plan`` was built for another array or
+    wavelength, when a subarray has fewer antennas than there are MSs
+    (`pseudotrue_fit`) or when the noise power is not positive
     (`information_matrices`)."""
     truth = pack_poses(poses)
     fit = pseudotrue_fit(truth, scenario, plan)

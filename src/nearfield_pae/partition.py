@@ -103,6 +103,17 @@ class PartitionPlan:
     def n_subarrays(self) -> int:
         return len(self.subarrays)
 
+    def check_scene(self, scenario) -> None:
+        """Raise ValueError unless this plan tiles ``scenario.bs`` at the
+        scenario's wavelength: the plan picks the signal's rows and places
+        the subarrays, so a plan of another array or carrier gives wrong
+        results without failing."""
+        if self.bs_spec != scenario.bs or self.lam != scenario.lam:
+            raise ValueError(
+                f"partition plan of {self.bs_spec} at wavelength {self.lam} m does not "
+                f"match the scenario's {scenario.bs} at {scenario.lam} m"
+            )
+
     def to_subarray(self, u: int, v: int) -> tuple:
         """Map a global antenna index to (m, i, j)."""
         if not (1 <= u <= self.bs_spec.nx and 1 <= v <= self.bs_spec.ny):

@@ -34,7 +34,6 @@ from nearfield_pae.circular import (
     vm_multiply,
 )
 from nearfield_pae.engine import (
-    EstimatorConfig,
     PosePrior,
     composite_vm_value,
     pose_terms,
@@ -70,10 +69,9 @@ def announce(name: str, ok: bool, detail: str) -> None:
 
 def run_point(scenario, partition, estimators, trials, seed, point_idx, bound_trials=0):
     """Per-trial squared errors (and bound traces) for one sweep point."""
-    partitioned = EstimatorConfig().resolve(scenario)
     tasks = [
         _TrialTask(
-            scenario, partition, partitioned, tuple(estimators),
+            scenario, partition, None, tuple(estimators),
             t < bound_trials, seed, point_idx, t,
         )
         for t in range(trials)

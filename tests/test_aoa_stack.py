@@ -21,7 +21,6 @@ from nearfield_pae.channel import (
     subarray_steering,
 )
 from nearfield_pae.circular import VonMises, vm_extrinsic, vm_multiply
-from nearfield_pae.engine import EstimatorConfig
 from nearfield_pae.partition import PartitionPlan, make_descriptor, uniform_partition
 from oracles import finite_diff_gradient, finite_diff_hessian
 
@@ -122,7 +121,7 @@ class TestEngineCalls:
     per-snapshot loop would call the routine M*T times per pass."""
 
     @staticmethod
-    def stack_sizes(monkeypatch, sc, plan, cfg=None):
+    def stack_sizes(monkeypatch, sc, plan, iterations=None):
         sizes = []
         original = engine.estimate_aoa_posteriors
 
@@ -132,14 +131,14 @@ class TestEngineCalls:
 
         monkeypatch.setattr(engine, "estimate_aoa_posteriors", counting)
         rng = np.random.default_rng(0)
-        ests = engine.run(simulate_received(sc, rng, draw_poses(sc, rng)), sc, plan, cfg)
+        ests = engine.run(simulate_received(sc, rng, draw_poses(sc, rng)), sc, plan, iterations)
         assert all(np.all(np.isfinite(est.position)) for est in ests)
         return sizes
 
     def test_uniform_plan_one_call_per_pass(self, monkeypatch):
         sc = desk_scale_scenario(num_ms=2, distance_range=(1.5, 2.5))
         plan = uniform_partition(sc.bs, 4, 4, sc.lam)
-        sizes = self.stack_sizes(monkeypatch, sc, plan, EstimatorConfig(iterations=2))
+        sizes = self.stack_sizes(monkeypatch, sc, plan, iterations=2)
         assert sizes == [((8, 8), 16 * sc.n_slots)] * 2
 
     def test_one_call_per_shape(self, monkeypatch):

@@ -16,7 +16,8 @@ from nearfield_pae.channel import (
 )
 from nearfield_pae.circular import laplace_fit, newton_fits
 from nearfield_pae.engine import (
-    EstimatorConfig,
+    POSE_PRIOR,
+    SIGMA_INI,
     PosePrior,
     composite_fits,
     composite_vm_terms,
@@ -63,20 +64,15 @@ def desk_setup(num_ms=1, **kwargs):
 
 class TestInitMessages:
     def test_default_initialization(self):
-        cfg = EstimatorConfig()
-        state = init_messages(4, 2, 3, cfg)
+        state = init_messages(4, 2, 3)
         assert state.prior_mean.shape == (4, 2, 3, 3)
         assert np.allclose(state.prior_mean[..., :2], 0.0)
         assert np.allclose(state.prior_mean[..., 2], 1.0)
-        assert np.allclose(state.prior_cov[0, 0, 0], cfg.sigma_ini**2 * np.eye(3))
+        assert np.allclose(state.prior_cov[0, 0, 0], SIGMA_INI**2 * np.eye(3))
         assert np.all(state.prior_cov == state.prior_cov[0, 0, 0])
 
-    def test_degenerate_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            init_messages(1, 1, 1, EstimatorConfig(sigma_ini=0.0))
-
     def test_empty_state(self):
-        state = init_messages(2, 0, 3, EstimatorConfig())
+        state = init_messages(2, 0, 3)
         assert state.prior_mean.shape == (2, 0, 3, 3)
 
 
@@ -171,15 +167,11 @@ class TestCompositeObjective:
         oracle = np.linalg.solve(mats, rhs)
         assert np.allclose(oracle, p_true, atol=1e-8)
 
-        cfg = EstimatorConfig(nominal_range=5.0).resolve(
-            desk_scale_scenario(distance_range=(4.0, 6.0))
-        )
-        sc, plan = desk_setup()
-        state = init_messages(2, 1, 1, cfg)
+        state = init_messages(2, 1, 1)
         state.ext_chi[:, 0, 0] = chis
         state.ext_kappa[:, 0, 0] = kappas
         plan2 = _FakePlan(refs)
-        fuse_antenna_position(state, plan2, cfg)
+        fuse_antenna_position(state, plan2, 5.0)
         assert state.fused_ok[0, 0]
         assert np.linalg.norm(state.fused_mean[0, 0] - p_true) < 1e-4
 
@@ -190,30 +182,26 @@ class TestCompositeObjective:
         refs = np.array([[-0.08, 0.0, 0.0], [0.08, 0.0, 0.0]])
         p_true = np.array([0.4, -0.3, 5.0])
         chis, kappas = self.exact_extrinsics(p_true, refs)
-        cfg = EstimatorConfig(nominal_range=5.0).resolve(
-            desk_scale_scenario(distance_range=(4.0, 6.0))
-        )
-        state = init_messages(2, 1, 1, cfg)
+        state = init_messages(2, 1, 1)
         state.ext_chi[:, 0, 0] = chis
         state.ext_kappa[:, 0, 0] = kappas
         # a previous iteration's fused point, mirrored behind the plane
         state.iteration = 1
         state.fused_ok[0, 0] = True
         state.fused_mean[0, 0] = p_true * [1.0, 1.0, -1.0]
-        flags = fuse_antenna_position(state, _FakePlan(refs), cfg)
+        flags = fuse_antenna_position(state, _FakePlan(refs), 5.0)
         assert (0, "fusion_diverged_k0t0") in flags
         assert not state.fused_ok[0, 0]
         assert np.array_equal(state.fused_mean[0, 0], p_true * [1.0, 1.0, -1.0])
-        assert np.allclose(np.diag(np.linalg.inv(state.fused_prec[0, 0])), cfg.sigma_ini**2)
+        assert np.allclose(np.diag(np.linalg.inv(state.fused_prec[0, 0])), SIGMA_INI**2)
 
     def test_flat_composite_flagged(self):
-        cfg = EstimatorConfig().resolve(desk_scale_scenario())
-        state = init_messages(2, 1, 1, cfg)
+        state = init_messages(2, 1, 1)
         plan2 = _FakePlan(np.array([[-0.08, 0, 0], [0.08, 0, 0]]))
-        flags = fuse_antenna_position(state, plan2, cfg)
+        flags = fuse_antenna_position(state, plan2, desk_scale_scenario().nominal_range)
         assert not state.fused_ok[0, 0]
         assert (0, "flat_composite_k0t0") in flags
-        assert np.allclose(np.diag(np.linalg.inv(state.fused_prec[0, 0])), cfg.sigma_ini**2)
+        assert np.allclose(np.diag(np.linalg.inv(state.fused_prec[0, 0])), SIGMA_INI**2)
 
     def test_triangulate_single_ray_uses_nominal_range(self):
         refs = np.array([[0.0, 0.0, 0.0]])
@@ -310,12 +298,11 @@ class TestPoseObjective:
         q = sc.pattern.local_positions(sc.ms, sc.lam)
         pose = Pose(np.array([1.0, -2.0, 6.0]), EulerAngles(0.7, -0.4, 2.1))
         obs, weights = self.build_obs(pose, q)
-        cfg = EstimatorConfig().resolve(sc)
-        state = init_messages(1, 1, len(q), cfg)
+        state = init_messages(1, 1, len(q))
         state.fused_mean[0] = obs
         state.fused_prec[0] = np.tile(1e8 * np.eye(3), (len(q), 1, 1))
         state.fused_ok[0] = True
-        update_pose_messages(state, q, cfg)
+        update_pose_messages(state, q)
         truth = np.concatenate([pose.position, pose.attitude.as_array()])
         # Procrustes oracle: closed-form alignment on the exact points
         oracle = procrustes_pose(obs, q)
@@ -328,12 +315,11 @@ class TestPoseObjective:
         q = sc.pattern.local_positions(sc.ms, sc.lam)
         pose = Pose(np.array([0.5, 0.5, 5.0]), EulerAngles(0, 0, 0))
         obs, weights = self.build_obs(pose, q)
-        cfg = EstimatorConfig().resolve(sc)
-        state = init_messages(1, 1, len(q), cfg)
+        state = init_messages(1, 1, len(q))
         state.fused_mean[0] = obs
         state.fused_prec[0] = np.tile(1e8 * np.eye(3), (len(q), 1, 1))
         state.fused_ok[0] = True
-        update_pose_messages(state, q, cfg)
+        update_pose_messages(state, q)
         basis = rotation_bases(state.pose_mean[0, :1, 3:])[0][0]
         assert np.allclose(basis, np.eye(3)[:, :2], atol=1e-6)
 
@@ -342,12 +328,11 @@ class TestPoseObjective:
         q = np.array([[-0.04, 0.0], [0.0, 0.0], [0.04, 0.0]])
         pose = Pose(np.array([0.0, 0.0, 5.0]), EulerAngles(0, 0, 0))
         obs = pose.position[None, :] + np.pad(q, ((0, 0), (0, 1)))
-        cfg = EstimatorConfig().resolve(desk_scale_scenario())
-        state = init_messages(1, 1, 3, cfg)
+        state = init_messages(1, 1, 3)
         state.fused_mean[0] = obs
         state.fused_prec[0] = np.tile(1e8 * np.eye(3), (3, 1, 1))
         state.fused_ok[0] = True
-        flags = update_pose_messages(state, q, cfg)
+        flags = update_pose_messages(state, q)
         assert any("pose_near_singular" in name for _, name in flags)
         # the unobservable direction keeps a huge variance
         assert np.max(np.diag(state.pose_cov_theta[0, 0])) > 1e5
@@ -360,8 +345,7 @@ def _rand_spd(rng):
 
 class TestProjection:
     def test_zero_attitude_covariance(self):
-        cfg = EstimatorConfig().resolve(desk_scale_scenario())
-        state = init_messages(1, 1, 1, cfg)
+        state = init_messages(1, 1, 1)
         state.pose_mean[0, 0] = [1.0, 2.0, 5.0, 0.3, -0.2, 0.9]
         cp = np.diag([1e-4, 2e-4, 3e-4])
         state.pose_cov_p[0, 0] = cp
@@ -370,8 +354,7 @@ class TestProjection:
         assert np.allclose(cov[0, 0], cp, atol=1e-18)
 
     def test_center_antenna_passthrough(self):
-        cfg = EstimatorConfig().resolve(desk_scale_scenario())
-        state = init_messages(1, 1, 1, cfg)
+        state = init_messages(1, 1, 1)
         state.pose_mean[0, 0] = [1.0, 2.0, 5.0, 0.3, -0.2, 0.9]
         cp = np.diag([1e-4, 2e-4, 3e-4])
         ca = np.diag([1e-2, 1e-2, 1e-2])
@@ -383,8 +366,7 @@ class TestProjection:
 
     def test_linearized_covariance_formula(self):
         rng = np.random.default_rng(2)
-        cfg = EstimatorConfig().resolve(desk_scale_scenario())
-        state = init_messages(1, 1, 1, cfg)
+        state = init_messages(1, 1, 1)
         theta = rng.uniform(-1, 1, 3)
         q = rng.normal(0, 0.05, 2)
         state.pose_mean[0, 0, :3] = rng.normal(0, 2, 3)
@@ -400,8 +382,7 @@ class TestProjection:
 
     def test_every_cell_matches_the_per_cell_formula(self):
         rng = np.random.default_rng(4)
-        cfg = EstimatorConfig().resolve(desk_scale_scenario())
-        state = init_messages(1, 2, 5, cfg)
+        state = init_messages(1, 2, 5)
         state.pose_mean[:] = np.concatenate(
             [rng.normal(0, 2, (2, 5, 3)), rng.uniform(-3, 3, (2, 5, 3))], axis=-1
         )
@@ -424,22 +405,20 @@ class TestProjection:
 class TestFeedback:
     def test_single_subarray_passthrough(self):
         sc = desk_scale_scenario()
-        cfg = EstimatorConfig().resolve(sc)
         plan = uniform_partition(sc.bs, 1, 1, sc.lam)
-        state = init_messages(1, 1, 1, cfg)
+        state = init_messages(1, 1, 1)
         state.eta_mean[0, 0] = [1.0, 2.0, 3.0]
         state.eta_cov[0, 0] = np.diag([1.0, 2.0, 3.0])
-        feedback_messages(state, plan, cfg)
+        feedback_messages(state, plan, sc.nominal_range)
         assert np.allclose(state.prior_mean[0, 0, 0], [1.0, 2.0, 3.0])
         assert np.allclose(state.prior_cov[0, 0, 0], np.diag([1.0, 2.0, 3.0]))
 
     def test_flat_leave_one_out_dropped(self):
         sc, plan = desk_setup()
-        cfg = EstimatorConfig().resolve(sc)
-        state = init_messages(plan.n_subarrays, 1, 1, cfg)
+        state = init_messages(plan.n_subarrays, 1, 1)
         state.eta_mean[0, 0] = [0.5, 0.5, 5.0]
         state.eta_cov[0, 0] = 0.01 * np.eye(3)
-        flags = feedback_messages(state, plan, cfg)
+        flags = feedback_messages(state, plan, sc.nominal_range)
         assert (0, "gamma_flat_m0k0t0") in flags
         assert np.allclose(state.prior_mean[0, 0, 0], [0.5, 0.5, 5.0])
 
@@ -449,17 +428,16 @@ class TestFeedback:
         as in fusion it is diverged, so the pose-projected belief stands
         in its place and the stage flags it."""
         sc, plan = desk_setup()
-        cfg = EstimatorConfig().resolve(sc)
         p_true = np.array([0.7, -0.5, 6.0])
         refs = plan.reference_positions()
-        state = init_messages(plan.n_subarrays, 1, 1, cfg)
+        state = init_messages(plan.n_subarrays, 1, 1)
         for m in range(plan.n_subarrays):
             state.ext_chi[m, 0, 0] = np.pi * np.array(aoa_cosines(p_true, refs[m]))
             state.ext_kappa[m, 0, 0] = 1e7
         state.fused_mean[0, 0] = p_true * [1.0, 1.0, -1.0]
         state.eta_mean[0, 0] = p_true + 1e-3
         state.eta_cov[0, 0] = 1e-6 * np.eye(3)
-        flags = feedback_messages(state, plan, cfg)
+        flags = feedback_messages(state, plan, sc.nominal_range)
         count = plan.n_subarrays
         assert flags == [(0, f"gamma_diverged_m{m}k0t0") for m in range(count)]
         assert np.array_equal(state.prior_mean[:, 0, 0], np.tile(p_true + 1e-3, (count, 1)))
@@ -470,11 +448,10 @@ class TestFeedback:
         # and the information-form combination must match the closed-form
         # two-Gaussian product of the eta belief and the fitted Gamma
         sc, plan = desk_setup()
-        cfg = EstimatorConfig().resolve(sc)
         rng = np.random.default_rng(3)
         p_true = np.array([0.7, -0.5, 6.0])
         refs = plan.reference_positions()
-        state = init_messages(plan.n_subarrays, 1, 1, cfg)
+        state = init_messages(plan.n_subarrays, 1, 1)
         for m in range(plan.n_subarrays):
             state.ext_chi[m, 0, 0] = np.pi * np.array(aoa_cosines(p_true, refs[m]))
             state.ext_kappa[m, 0, 0] = 1e7
@@ -484,7 +461,7 @@ class TestFeedback:
         eta_cov = _rand_spd(rng) * 1e-6
         state.eta_mean[0, 0] = eta_mean
         state.eta_cov[0, 0] = eta_cov
-        flags = feedback_messages(state, plan, cfg)
+        flags = feedback_messages(state, plan, sc.nominal_range)
         assert flags == []
         # reproduce Gamma independently and combine in closed form
         keep = [m for m in range(plan.n_subarrays) if m != 2]
@@ -529,10 +506,8 @@ class TestEngineEndToEnd:
 
     def test_single_ms_runs_one_iteration(self):
         sc, _ = desk_setup()
-        cfg = EstimatorConfig().resolve(sc)
-        assert cfg.iterations == 1
-        sc3 = desk_scale_scenario(num_ms=3)
-        assert EstimatorConfig().resolve(sc3).iterations == 5
+        assert engine.iteration_count(None, sc.num_ms) == 1
+        assert engine.iteration_count(None, desk_scale_scenario(num_ms=3).num_ms) == 5
 
     def test_translation_equivariance(self):
         sc, plan = desk_setup(tx_power_dbm=20.0)
@@ -560,14 +535,13 @@ class TestEngineEndToEnd:
         rng = np.random.default_rng(8)
         poses = draw_poses(sc, rng)
         sig = simulate_received(sc, rng, poses)
-        cfg = EstimatorConfig().resolve(sc)
         q = sc.pattern.local_positions(sc.ms, sc.lam)
 
         def pose_message_t0(signal):
-            state = init_messages(plan.n_subarrays, 1, 2, cfg)
-            state.flags += engine.aoa_module_pass(state, signal, plan, sc, cfg)
-            fuse_antenna_position(state, plan, cfg)
-            update_pose_messages(state, q, cfg)
+            state = init_messages(plan.n_subarrays, 1, 2)
+            state.flags += engine.aoa_module_pass(state, signal, plan, sc)
+            fuse_antenna_position(state, plan, sc.nominal_range)
+            update_pose_messages(state, q)
             return state.pose_mean[0, 0].copy()
 
         baseline_msg = pose_message_t0(sig)
@@ -770,12 +744,11 @@ class TestFinalMap:
         pose = Pose(np.array([-1.0, 1.5, 7.0]), EulerAngles(-0.9, 0.5, -2.2))
         basis = rotation_basis(pose.attitude).matrix
         obs = pose.position[None, :] + (basis @ q.T).T
-        cfg = EstimatorConfig().resolve(sc)
-        state = init_messages(1, 1, len(q), cfg)
+        state = init_messages(1, 1, len(q))
         state.fused_mean[0] = obs
         state.fused_prec[0] = np.tile(1e10 * np.eye(3), (len(q), 1, 1))
         state.fused_ok[0] = True
-        est = final_map(state, q, cfg)[0]
+        est = final_map(state, q)[0]
         assert np.linalg.norm(est.position - pose.position) < 1e-6
         assert np.allclose(est.basis.matrix, basis, atol=1e-6)
 
@@ -783,21 +756,17 @@ class TestFinalMap:
         sc, _ = desk_setup()
         q = sc.pattern.local_positions(sc.ms, sc.lam)
         target = np.array([0.3, -0.4, 5.0])
-        cfg = replace(
-            EstimatorConfig(
-                position_prior_std=1e-6,
-                attitude_prior_chi=(0.2, 0.6, -0.4),
-                attitude_prior_kappa=(1e10, 1e10, 1e10),
-            )
-        ).resolve(sc)
-        state = init_messages(1, 1, len(q), cfg)
-        state.fused_mean[0] = target[None, :] + np.zeros((len(q), 3))
-        state.fused_prec[0] = np.tile(1e-12 * np.eye(3), (len(q), 1, 1))
-        est = final_map(state, q, cfg)[0]
-        assert np.linalg.norm(est.position) < 1e-4
-        assert est.attitude.roll == pytest.approx(0.2, abs=1e-4)
-        assert est.attitude.pitch == pytest.approx(0.3, abs=1e-4)
-        assert est.attitude.yaw == pytest.approx(-0.4, abs=1e-4)
+        prior = PosePrior(1e-6, np.array([0.2, 0.6, -0.4]), np.full(3, 1e10))
+        obs = target[None, :] + np.zeros((len(q), 3))
+        weights = np.tile(1e-12 * np.eye(3), (len(q), 1, 1))
+        fit = engine.pose_fits(
+            obs[None], weights[None], q, prior, procrustes_pose(obs, q)[None]
+        ).problem(0)
+        attitude = canonicalize_euler(fit.mean[3:])
+        assert np.linalg.norm(fit.mean[:3]) < 1e-4
+        assert attitude.roll == pytest.approx(0.2, abs=1e-4)
+        assert attitude.pitch == pytest.approx(0.3, abs=1e-4)
+        assert attitude.yaw == pytest.approx(-0.4, abs=1e-4)
 
     def test_stacked_fit_equals_one_problem_fits(self):
         """K=2: each MS's MAP equals a one-problem `newton_fits` from the
@@ -807,7 +776,6 @@ class TestFinalMap:
         different ones: the start rule decides the result."""
         sc, _ = desk_setup(num_ms=2)
         q = sc.pattern.local_positions(sc.ms, sc.lam)
-        cfg = EstimatorConfig().resolve(sc)
 
         def antennas(x):
             return x[:3] + q @ rotation_basis(EulerAngles(*x[3:])).matrix.T
@@ -821,7 +789,7 @@ class TestFinalMap:
             np.array([0.4, -0.3, 2.0, 0.5, -0.2, 1.1]),
             np.array([-0.6, 0.2, 1.8, -2.0, 0.4, -0.7]),
         )
-        state = init_messages(1, 2, len(q), cfg)
+        state = init_messages(1, 2, len(q))
         state.have_pose = True
         state.fused_prec[:] = np.diag([1e8, 1e8, 1e-2])
         # MS 0: exact positions, so the alignment fit is exact; its pose
@@ -835,8 +803,8 @@ class TestFinalMap:
         state.fused_mean[1, 1:, 2] = antennas(mirrored(truths[1]))[1:, 2]
         state.fused_prec[1, 0] = np.diag([1e8, 1e8, 1e6])
         state.pose_mean[1] = truths[1]
-        ests = final_map(state, q, cfg)
-        prior = engine._estimator_prior(cfg)
+        ests = final_map(state, q)
+        prior = POSE_PRIOR
         chosen = []
         for k, est in enumerate(ests):
             args = (state.fused_mean[k][None], state.fused_prec[k][None], q, prior)

@@ -10,8 +10,11 @@ from nearfield_pae.channel import (
     simulate_received,
     subarray_steering,
 )
-from nearfield_pae.engine import EstimatorConfig, run
-from nearfield_pae.geometry import UraSpec
+from nearfield_pae.cli import main
+from nearfield_pae.engine import run
+from nearfield_pae.geometry import UraSpec, half_wavelength_ura, wavelength
+from nearfield_pae.harness import load_config, sweep_from_config
+from nearfield_pae.mcrb import compute_bound, information_matrices, pack_poses
 from nearfield_pae.partition import uniform_partition
 
 
@@ -155,56 +158,115 @@ class TestFlatPriorDegenerateSnapshots:
 
 
 class TestEstimatorControls:
-    """Invalid controls once passed construction: ``iterations = 0`` made
-    `run` return a pose at the array centre with no flag (2.5 ran two
-    passes), a zero prior std raised a bare ZeroDivisionError inside
-    `run`, and a negative attitude concentration or a bad nominal range
-    was used. A NaN or infinite
-    ``sigma_ini`` made `run` raise a misleading concentration error, and
-    a bad amplitude prior variance failed only inside the angle stage. A
-    NaN or infinite attitude prior mean made `run` raise LinAlgError."""
+    """The iteration count is the estimator's one setting. Invalid counts
+    once passed: ``iterations = 0`` made `run` return a pose at the array
+    centre with no flag, and 2.5 ran two passes. The six prior and range
+    settings are gone, so a config file that sets one, at any of the
+    values once rejected here, is refused as an unknown key (exit 2)
+    before any work starts."""
 
     @pytest.mark.parametrize("iterations", [0, -1, 2.5])
     def test_iterations_below_one_rejected(self, iterations):
+        sc = desk_scale_scenario()
+        plan = uniform_partition(sc.bs, 4, 4, sc.lam)
+        signal = ReceivedSignal(np.ones((sc.bs.n_antennas, sc.n_slots), dtype=complex))
         with pytest.raises(ValueError, match="iterations"):
-            EstimatorConfig(iterations=iterations)
+            run(signal, sc, plan, iterations=iterations)
+
+    @staticmethod
+    def assert_unknown_key(tmp_path, capsys, key, value):
+        path = tmp_path / "estimator.ini"
+        path.write_text(f"[estimator]\n{key} = {value}\n")
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "s.csv")]) == 2
+        assert f"unknown key '{key}' in section [estimator]" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
-    def test_sigma_ini_rejected(self, sigma):
-        with pytest.raises(ValueError, match="sigma_ini"):
-            EstimatorConfig(sigma_ini=sigma)
+    def test_sigma_ini_rejected(self, tmp_path, capsys, sigma):
+        self.assert_unknown_key(tmp_path, capsys, "sigma_ini", sigma)
 
     @pytest.mark.parametrize("var", [0.0, -1.0, np.nan])
-    def test_coeff_prior_var_rejected(self, var):
-        with pytest.raises(ValueError, match="coeff_prior_var"):
-            EstimatorConfig(coeff_prior_var=var)
+    def test_coeff_prior_var_rejected(self, tmp_path, capsys, var):
+        self.assert_unknown_key(tmp_path, capsys, "coeff_prior_var", var)
 
     @pytest.mark.parametrize("std", [0.0, -1.0, np.nan])
-    def test_position_prior_std_rejected(self, std):
-        with pytest.raises(ValueError, match="position_prior_std"):
-            EstimatorConfig(position_prior_std=std)
+    def test_position_prior_std_rejected(self, tmp_path, capsys, std):
+        self.assert_unknown_key(tmp_path, capsys, "position_prior_std", std)
 
     @pytest.mark.parametrize("chi", [(np.nan, 0.0, 0.0), (0.0, 0.0, -np.inf)])
-    def test_attitude_prior_chi_rejected(self, chi):
-        with pytest.raises(ValueError, match="attitude_prior_chi"):
-            EstimatorConfig(attitude_prior_chi=chi)
+    def test_attitude_prior_chi_rejected(self, tmp_path, capsys, chi):
+        self.assert_unknown_key(tmp_path, capsys, "attitude_prior_chi", ", ".join(map(str, chi)))
 
     @pytest.mark.parametrize("kappa", [(-1.0, 0.0, 0.0), (0.0, np.nan, 0.0), (0.0, 0.0, np.inf)])
-    def test_attitude_prior_kappa_rejected(self, kappa):
-        with pytest.raises(ValueError, match="attitude_prior_kappa"):
-            EstimatorConfig(attitude_prior_kappa=kappa)
+    def test_attitude_prior_kappa_rejected(self, tmp_path, capsys, kappa):
+        self.assert_unknown_key(
+            tmp_path, capsys, "attitude_prior_kappa", ", ".join(map(str, kappa))
+        )
 
     @pytest.mark.parametrize("r_nom", [0.0, -2.0, np.inf, np.nan])
-    def test_nominal_range_rejected(self, r_nom):
-        with pytest.raises(ValueError, match="nominal_range"):
-            EstimatorConfig(nominal_range=r_nom)
+    def test_nominal_range_rejected(self, tmp_path, capsys, r_nom):
+        self.assert_unknown_key(tmp_path, capsys, "nominal_range", r_nom)
 
-    def test_valid_controls_accepted(self):
-        cfg = EstimatorConfig(
-            iterations=1,
-            position_prior_std=2.0,
-            attitude_prior_kappa=(0.0, 1.0, 0.0),
-            nominal_range=3.0,
-            coeff_prior_var=np.inf,
-        )
-        assert cfg.iterations == 1 and cfg.coeff_prior_var == np.inf
+    def test_valid_controls_accepted(self, tmp_path):
+        """``auto`` and integers >= 1 pass from a config file into a sweep."""
+        path = tmp_path / "estimator.ini"
+        for text, expected in (("auto", None), ("3", 3)):
+            path.write_text(f"[estimator]\niterations = {text}\n")
+            spec = sweep_from_config(load_config(str(path)))
+            assert spec.iterations == expected
+
+
+class TestPlanOfAnotherScene:
+    """A partition plan built for another array or carrier was used as
+    given: on the 1.5-2.5 m desk scene a 16x16-BS plan gave an estimate
+    2.11 m off with no flag and a bound of 1.65 m (0.0104 m with the
+    right plan), and a plan built at 30 GHz an estimate 0.13 m off."""
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        sc = desk_scale_scenario(tx_power_dbm=20.0, distance_range=(1.5, 2.5))
+        rng = np.random.default_rng(0)
+        poses = draw_poses(sc, rng)
+        return sc, poses, simulate_received(sc, rng, poses)
+
+    @staticmethod
+    def wrong_plan(sc, case):
+        if case == "array":
+            return uniform_partition(UraSpec(16, 16, sc.bs.spacing), 4, 4, sc.lam)
+        return uniform_partition(half_wavelength_ura(32, 32, 30e9), 4, 4, wavelength(30e9))
+
+    @pytest.mark.parametrize("case", ["array", "carrier"])
+    @pytest.mark.parametrize("entry", ["run", "compute_bound", "information_matrices"])
+    def test_rejected(self, scene, case, entry):
+        sc, poses, signal = scene
+        plan = self.wrong_plan(sc, case)
+        truth = pack_poses(poses)
+        calls = {
+            "run": lambda: run(signal, sc, plan),
+            "compute_bound": lambda: compute_bound(poses, sc, plan),
+            "information_matrices": lambda: information_matrices(
+                truth, truth, sc, plan, sc.noise_power_w
+            ),
+        }
+        with pytest.raises(ValueError, match="partition plan"):
+            calls[entry]()
+
+
+class TestThreeMsLowSnr:
+    """K = 3 at 0 and 5 dBm on the 5-8 m desk scene: the estimator and
+    the baseline return three finite poses or raise ValueError."""
+
+    @pytest.mark.parametrize("tx_power_dbm", [0.0, 5.0])
+    @pytest.mark.parametrize("trial", range(4))
+    def test_finite_or_value_error(self, tx_power_dbm, trial):
+        sc = desk_scale_scenario(num_ms=3, tx_power_dbm=tx_power_dbm)
+        plan = uniform_partition(sc.bs, 4, 4, sc.lam)
+        rng = np.random.default_rng(np.random.SeedSequence([0, 3, trial]))
+        signal = simulate_received(sc, rng, draw_poses(sc, rng))
+        for estimate in (lambda: run(signal, sc, plan), lambda: run_baseline(signal, sc)):
+            try:
+                ests = estimate()
+            except ValueError:
+                continue
+            assert len(ests) == 3
+            assert all(np.all(np.isfinite(est.position)) for est in ests)
