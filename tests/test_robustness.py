@@ -219,8 +219,9 @@ class TestEstimatorControls:
 class TestPlanOfAnotherScene:
     """A partition plan built for another array or carrier was used as
     given: on the 1.5-2.5 m desk scene a 16x16-BS plan gave an estimate
-    2.11 m off with no flag and a bound of 1.65 m (0.0104 m with the
-    right plan), and a plan built at 30 GHz an estimate 0.13 m off."""
+    2.09 m off (flagged, but no error) and a bound of 1.61 m (0.0104 m
+    with the right plan), and a plan built at 30 GHz an estimate 0.13 m
+    off with no flag and a bound of 0.129 m."""
 
     @pytest.fixture(scope="class")
     def scene(self):
