@@ -31,6 +31,13 @@ and Hessian of F (`_joint_terms`). Its inputs and outputs are arrays:
 stacked samples (B, nx, ny), noise powers (B,), von Mises prior means and
 concentrations (B, K, 2) and amplitude prior variances (B, K) in; an
 `AoaPosteriors` of arrays out.
+
+A snapshot whose priors already fix the search's answer skips the search
+and the first ascents and starts the joint solve at its prior means (a
+warm start, `_warm_snapshots`): for every source and axis, the prior's
+loss one periodogram bin from its mean must exceed a bound on the largest
+data gain, so no grid point a bin or more away can win. The estimator's
+later passes, whose priors pin each cosine far inside a bin, take it.
 """
 
 from __future__ import annotations
@@ -41,11 +48,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import subarray_steering
-from .circular import newton_fits, vm_normalize
+from .circular import _MAX_STEPS, newton_fits, vm_normalize
 
 # periodogram grid points per slice of the stack (one snapshot at least):
-# one fft2 over the 80 padded grids of a pass adds about 4 MB of peak
-# memory; 2**12 points take 64 kB, 1.6 ms per 80-snapshot start (2-core x86)
+# on an 80-snapshot 8x8 start, 2**12 points took 0.78 ms and 0.23 MB of
+# peak memory, 2**14 0.87 ms and 0.77 MB, and the whole stack in one slice
+# 1.6 ms and 2.7 MB (2-core x86, one BLAS thread); a 16x16 stack ranks alike
 _GRID_SLICE_POINTS = 2**12
 # periodogram grid points per array element and axis: bins 1 / (2 nx)
 # apart, so a start lies inside the main lobe of any single source
@@ -226,6 +234,35 @@ def _periodogram_starts(resid, chi, kappa, weight) -> np.ndarray:
     return np.stack([phi_x[ix], phi_y[iy]], axis=-1)
 
 
+def _warm_snapshots(y, kappa, weights) -> np.ndarray:
+    """Snapshots (B,) whose periodogram search needs no running: for every
+    source, no grid point a bin or more from its prior mean on some axis
+    can win the search. Takes the snapshots y (B, nx, ny) and, in
+    processing order, the concentrations kappa (B, K, 2) and data weights
+    w = v' / sigma_w^4 (B, K).
+
+    On an axis with bin d = 2 / (_PAD_FACTOR n) whose grid point nearest
+    the mean lies e <= d / 2 from it, every grid point a bin or more away
+    lies at least d + e away. Moving that point to the nearest one on this
+    axis raises the prior by at least kappa (cos(pi e) - cos(pi (d + e)))
+    >= kappa (1 - cos(pi d)) and lowers the data gain w |<steer, r>|^2 by
+    at most its largest value, so the move wins once the loss exceeds a
+    bound on that gain. The first source searches y, and |<steer, y>| <=
+    sum |y| bounds its gain by w (sum |y|)^2. A later source searches the
+    residual r = (I - rho P) y left by the earlier ones, each with P = a
+    a^H / (nx ny) and rho = nx ny v' / sigma_w^2 <= 1, so ||r|| <= ||y||
+    and Cauchy-Schwarz bounds its gain by w nx ny ||y||^2. Both sides scale
+    alike with y, and a flat prior never passes."""
+    b_count, nx, ny = y.shape
+    bins = 2.0 / (_PAD_FACTOR * np.array([nx, ny]))
+    loss = np.min(kappa * (1.0 - np.cos(np.pi * bins)), axis=-1)
+    mags = np.abs(y).reshape(b_count, -1)
+    gain = np.empty_like(weights)
+    gain[:, 0] = np.sum(mags, axis=1) ** 2
+    gain[:, 1:] = nx * ny * np.sum(mags * mags, axis=1)[:, None]
+    return np.all(loss > weights * gain, axis=1)
+
+
 def _checked_inputs(samples, noise_power, prior_chi, prior_kappa, coeff_prior_var):
     """The routine's inputs as arrays, or ValueError on a bad one."""
     y = np.asarray(samples, dtype=np.complex128)
@@ -278,13 +315,27 @@ def estimate_aoa_posteriors(
     over the stack, `_GRID_SLICE_POINTS`) and ascend their profiled terms
     on it; one stacked Newton solve of the joint objective F over every
     snapshot's 2K cosines, in processing order, then refines them
-    together. With one source F is the profiled term the first ascent
-    climbed, so only a snapshot whose first ascent stopped unconverged
-    ascends again.
+    together.
+
+    A warm snapshot skips the search and the first ascents and starts the
+    joint solve at its prior means. It is warm when, for every source and
+    axis, the prior's loss one bin from its mean, kappa (1 - cos(pi d))
+    with d = 2 / (_PAD_FACTOR n), exceeds the largest data gain the
+    search could see: w (sum |y|)^2 for the first source, w = v' /
+    sigma_w^4, since |<steer, y>| <= sum |y|, and w nx ny ||y||^2 for a
+    later one, whose residual is no longer than y. No grid point a bin or
+    more from the mean can then win the search (`_warm_snapshots`). A flat
+    prior is never warm, and the test has no setting.
+
+    With one source F is the profiled term the first ascent climbed, so
+    the joint solve reruns only a warm snapshot and one whose first ascent
+    hit the step cap; a first ascent that stalled in its line search would
+    only stall again.
 
     Returns an `AoaPosteriors`; with ``diagnostics`` its ``traces`` hold
     one non-decreasing trace of F per snapshot: its value after the first
-    ascents and at every accepted joint step. Raises ValueError on
+    ascents (at the prior means for a warm snapshot) and at every accepted
+    joint step. Raises ValueError on
     non-finite samples, a noise power that is not finite and positive, a
     non-finite prior mean, a negative or non-finite concentration, an
     amplitude variance that is not positive (NaN included), or inputs of
@@ -300,7 +351,10 @@ def estimate_aoa_posteriors(
     every = np.arange(b_count)
     # (B, K): the source at each processing position (lexsort is stable)
     order = np.lexsort((chi[..., 1], chi[..., 0], -np.sum(kappa, axis=-1)), axis=-1)
-    phis = np.zeros((b_count, k_count, 2))
+    in_order = (every[:, None], order)
+    warm = _warm_snapshots(y, kappa[in_order], weights[in_order])
+    # a warm snapshot starts its joint solve at the prior means
+    phis = np.where(warm[:, None, None], chi / np.pi, 0.0)
 
     def ascend(resid, rows, ks, start):
         args = (chi[rows, ks], kappa[rows, ks], weights[rows, ks])
@@ -317,17 +371,18 @@ def estimate_aoa_posteriors(
         g = _projections(resid, phis[rows, ks], order=0)
         return post_var[rows, ks] / sigw2[rows, 0] * g
 
-    resid = y.copy()
-    for j in range(k_count):
-        ks = order[:, j]
-        start = _periodogram_starts(resid, chi[every, ks], kappa[every, ks], weights[every, ks])
-        fits = ascend(resid, every, ks, start)
-        phis[every, ks] = fits.mean
-        gain = coeff_update(resid, every, ks)
+    # the first ascents of the other snapshots, one source after another
+    cold = every[~warm]
+    resid = y[cold]
+    for j in range(k_count if cold.size else 0):
+        ks = order[cold, j]
+        start = _periodogram_starts(resid, chi[cold, ks], kappa[cold, ks], weights[cold, ks])
+        fits = ascend(resid, cold, ks, start)
+        phis[cold, ks] = fits.mean
+        gain = coeff_update(resid, cold, ks)
         resid = resid - gain[:, None, None] * subarray_steering(nx, ny, *fits.mean.T)
 
     # the joint solve over (B, K, 2) cosines in processing order
-    in_order = (every[:, None], order)
     if k_count == 1:
         kernel, shape = _profiled_terms, (-1, 2)
         args = (chi[:, 0], kappa[:, 0], weights[:, 0])
@@ -344,7 +399,16 @@ def estimate_aoa_posteriors(
     def terms(x, snaps, deriv):
         return kernel(y[snaps], x.reshape(shape), *(a[snaps] for a in args), order=deriv)
 
-    rows = every if k_count > 1 else every[~fits.converged]
+    if k_count > 1:
+        rows = every
+    else:
+        # at K = 1 the joint solve is the first ascent again: it reruns only
+        # an ascent cut off by the step cap, since one that stalled would
+        # repeat its rejected halvings from the same point
+        capped = np.zeros(b_count, dtype=bool)
+        if cold.size:
+            capped[cold] = ~fits.converged & (fits.n_polish_steps == _MAX_STEPS)
+        rows = every[warm | capped]
     start = phis[in_order].reshape(b_count, -1)
     traces = [[] for _ in every] if diagnostics else None
 
@@ -358,7 +422,7 @@ def estimate_aoa_posteriors(
     if rows.size:
         fit = newton_fits(lambda x, idx: terms(x, rows[idx], 0), derivatives, start[rows])
         phis[rows[:, None], order[rows]] = fit.mean.reshape(rows.size, k_count, 2)
-    if diagnostics and k_count == 1:  # a converged first ascent's one value
+    if diagnostics and k_count == 1:  # a first ascent's last value
         idle = np.setdiff1d(every, rows)
         for b, value in zip(idle, terms(start[idle], idle, 0)):
             traces[b].append(value)

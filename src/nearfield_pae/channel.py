@@ -324,10 +324,12 @@ def reduced_coefficients(
 ) -> ReducedCoefficients:
     """Reduced-model parameters for every (subarray, MS, slot) triple.
 
-    Raises if the far-field condition fails for any subarray unless the
-    scenario's ``fresnel_override`` is set (the same flag gates both
-    geometric preconditions).
+    Raises ValueError on a plan built for another array or wavelength
+    (`PartitionPlan.check_scene`), and if the far-field condition fails
+    for any subarray unless the scenario's ``fresnel_override`` is set
+    (the same flag gates both geometric preconditions).
     """
+    plan.check_scene(scenario)
     lam = scenario.lam
     antennas = activated_antenna_positions(scenario, poses)
     if validate and not scenario.fresnel_override:

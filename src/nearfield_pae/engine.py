@@ -23,6 +23,13 @@ subarray's concentrations masked to zero. After the final iteration
 the pose of each MS is the MAP point of the all-slots objective, the K
 fits again in one stacked solve.
 
+Later passes start warm. Their priors pin each cosine far inside a
+periodogram bin, so the angle stage skips the search and the first
+ascents and starts its joint solve at the prior means
+(`aoa.estimate_aoa_posteriors`). Each leave-one-subarray-out fit starts
+where it ended in the previous pass if it converged and was kept there
+(`MessageState.loo_mean`).
+
 Stage functions return their flags as (MS index, name) pairs, and `run`
 hands every MS its own flags on the returned `PoseEstimate`.
 
@@ -106,6 +113,8 @@ class MessageState:
     pose_cov_theta: np.ndarray  # (K, T, 3, 3)
     eta_mean: np.ndarray  # (K, T, 3)
     eta_cov: np.ndarray  # (K, T, 3, 3)
+    loo_mean: np.ndarray  # (M, K, T, 3), each leave-one-subarray-out fit's last mean
+    loo_ok: np.ndarray  # (M, K, T) bool, that fit converged and was kept
     iteration: int = 0
     have_pose: bool = False
     flags: list = field(default_factory=list)  # (MS index, name) pairs
@@ -135,6 +144,8 @@ def init_messages(m_count: int, k_count: int, t_count: int) -> MessageState:
         pose_cov_theta=np.tile(np.eye(3), (k_count, t_count, 1, 1)),
         eta_mean=np.zeros((k_count, t_count, 3)),
         eta_cov=np.tile(np.eye(3), (k_count, t_count, 1, 1)),
+        loo_mean=np.zeros((m_count, k_count, t_count, 3)),
+        loo_ok=np.zeros((m_count, k_count, t_count), dtype=bool),
     )
 
 
@@ -474,7 +485,9 @@ def feedback_messages(state: MessageState, plan: PartitionPlan, nominal_range: f
     leave-one-out composite, one whose fit diverged as fusion judges it
     (runs away or ends at z <= 0), or one whose precision plus the
     pose-projected one is not definite beyond rounding, leaves the
-    pose-projected belief. Writes ``prior_mean`` and ``prior_cov``;
+    pose-projected belief. A fit starts at its own mean of the previous
+    pass if it converged and was kept there, else at the fused position.
+    Writes ``prior_mean``, ``prior_cov``, ``loo_mean`` and ``loo_ok``;
     returns (MS, flag) pairs.
     """
     m_count, k_count, t_count = state.shape
@@ -489,7 +502,8 @@ def feedback_messages(state: MessageState, plan: PartitionPlan, nominal_range: f
     chis = np.broadcast_to(state.ext_chi.transpose(1, 2, 0, 3), shape).reshape(-1, m_count, 2)
     masked = 1.0 - np.eye(m_count)[:, None, None, :, None]
     kappas = (state.ext_kappa.transpose(1, 2, 0, 3) * masked).reshape(-1, m_count, 2)
-    inits = np.broadcast_to(state.fused_mean, eta_mean.shape).reshape(-1, 3)
+    inits = np.where(state.loo_ok[..., None], state.loo_mean, state.fused_mean).reshape(-1, 3)
+    state.loo_ok[:] = False
     flat = _flat_problems(kappas)
     dropped, diverged = np.zeros_like(flat), np.zeros_like(flat)
     solve = np.flatnonzero(~flat)
@@ -513,6 +527,8 @@ def feedback_messages(state: MessageState, plan: PartitionPlan, nominal_range: f
         cell = np.unravel_index(used, (m_count, k_count, t_count))
         state.prior_mean[cell] = mean
         state.prior_cov[cell] = cov
+        state.loo_mean[cell] = fits.mean[keep]
+        state.loo_ok[cell] = fits.converged[keep]
     raised = {"gamma_flat": flat, "gamma_indefinite_dropped": dropped, "gamma_diverged": diverged}
     return _stage_flags(raised, (m_count, k_count, t_count))
 

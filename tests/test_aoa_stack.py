@@ -1,13 +1,15 @@
 """The stacked angle stage: one solve over many snapshots gives what each
-snapshot gives alone, the engine makes one call per subarray shape and
-pass, and the profiled objective's derivatives, the steering kernel and
-the von Mises algebra keep their identities."""
+snapshot gives alone, a snapshot whose prior fixes the periodogram
+search's answer skips it and still gets the searched posterior, the
+engine makes one call per subarray shape and pass, and the profiled
+objective's derivatives, the steering kernel and the von Mises algebra
+keep their identities."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nearfield_pae import engine
+from nearfield_pae import aoa, engine
 from nearfield_pae.aoa import (
     _joint_terms,
     _profiled_terms,
@@ -114,6 +116,130 @@ class TestStackedSolve:
             solve(snapshots[:2], priors[:1])
         with pytest.raises(ValueError, match="snapshot"):
             solve([], [])
+
+
+class TestWarmStart:
+    """`aoa._warm_snapshots` sends a snapshot whose priors pin every source
+    within a periodogram bin straight to the joint solve, started at the
+    prior means; the others search and ascend first."""
+
+    A, B = (0.2, -0.3), (-0.5, 0.4)
+
+    @staticmethod
+    def record_warm(monkeypatch):
+        """The warm flags of every solve that follows, in call order."""
+        seen = []
+        original = aoa._warm_snapshots
+
+        def recording(*args):
+            seen.append(original(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(aoa, "_warm_snapshots", recording)
+        return seen
+
+    @staticmethod
+    def all_cold(monkeypatch):
+        monkeypatch.setattr(aoa, "_warm_snapshots", lambda y, *args: np.zeros(len(y), dtype=bool))
+
+    def dominant(self, rng):
+        """A K=2 snapshot under priors 1e-4 off its sources with
+        concentration 1e7 (spread 1e-4 in cosine against a bin of 1/16)."""
+        snap = two_source_snapshot(rng, [(2e-4, self.A), (1e-4, self.B)])
+        off = np.array([1e-4, -1e-4])
+        return snap, [prior(self.A + off, (1e7, 1e7)), prior(self.B - off, (1e7, 1e7))]
+
+    def outweighed(self, rng):
+        """A K=1 snapshot whose tight prior (spread 3e-3) sits 0.1 off the
+        source in both cosines, where the data's peak outweighs it."""
+        snap = (2e-4 * subarray_steering(8, 8, 0.3, -0.2), SIGW2)
+        return snap, [prior((0.4, -0.1), (1e4, 1e4))]
+
+    def test_dominant_prior_gives_the_cold_posterior(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        snap, pri = self.dominant(rng)
+        seen = self.record_warm(monkeypatch)
+        warm = solve([snap, snap], [pri, pri[::-1]])
+        assert np.all(np.concatenate(seen))
+        self.all_cold(monkeypatch)
+        cold = solve([snap, snap], [pri, pri[::-1]])
+        assert np.allclose(warm.cosines, cold.cosines, rtol=0.0, atol=1e-9)
+        assert np.allclose(warm.kappa, cold.kappa, rtol=1e-6, atol=0.0)
+        assert np.allclose(warm.coeff_mean, cold.coeff_mean, rtol=1e-6, atol=0.0)
+        assert np.array_equal(warm.curvature_fallback, cold.curvature_fallback)
+
+    def test_outweighed_tight_prior_lands_on_the_data_peak(self, monkeypatch):
+        snap, pri = self.outweighed(np.random.default_rng(4))
+        seen = self.record_warm(monkeypatch)
+        post = solve([snap], [pri])
+        assert not np.any(np.concatenate(seen))
+        assert np.allclose(post.cosines[0, 0], (0.3, -0.2), rtol=0.0, atol=0.01)
+
+    def test_mixed_stack_equals_single_solves(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        snapshots, priors = zip(
+            self.dominant(rng),
+            two_source_snapshot_with_priors(rng, self.A, self.B, 1e-7),
+            self.dominant(rng),
+            two_source_snapshot_with_priors(rng, self.A, self.B, 50.0),
+        )
+        seen = self.record_warm(monkeypatch)
+        stacked = solve(snapshots, priors, diagnostics=True)
+        assert list(seen[0]) == [True, False, True, False]
+        for b, (snap, pri, trace) in enumerate(zip(snapshots, priors, stacked.traces)):
+            alone = solve([snap], [pri], diagnostics=True)
+            assert len(trace) == len(alone.traces[0])
+            assert np.allclose(stacked.cosines[b], alone.cosines[0], rtol=0.0, atol=1e-12)
+            assert np.allclose(stacked.kappa[b], alone.kappa[0], rtol=1e-9, atol=0.0)
+        snap, pri = self.outweighed(rng)
+        one = solve([snap, snap], [pri, [prior((0.3, -0.2), (1e8, 1e8))]])
+        assert list(seen[-1]) == [False, True]
+        for b, pri_b in enumerate((pri, [prior((0.3, -0.2), (1e8, 1e8))])):
+            alone = solve([snap], [pri_b])
+            assert np.allclose(one.cosines[b], alone.cosines[0], rtol=0.0, atol=1e-12)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k_count=st.sampled_from([1, 2]),
+        log_kappa=st.floats(5.0, 8.0),
+    )
+    def test_warm_snapshots_search_within_a_bin(self, seed, k_count, log_kappa):
+        """Where the test passes, the cold path's search of every source
+        (the second one on the first one's residual) picks a grid point
+        less than a bin (1/16 on 8x8) from the prior mean on both axes;
+        the means lie up to four bins off the sources."""
+        rng = np.random.default_rng(seed)
+        sources = [(0.2, -0.3), (-0.5, 0.4)][:k_count]
+        amps = rng.uniform(0.5e-4, 2e-4, k_count) * np.exp(2j * np.pi * rng.random(k_count))
+        snapshots, priors = [], []
+        for _ in range(4):
+            snapshots.append(two_source_snapshot(rng, list(zip(amps, sources))))
+            means = np.array(sources) + rng.uniform(-0.25, 0.25, (k_count, 2))
+            kappa = 10.0 ** (log_kappa + rng.uniform(-0.5, 0.5))
+            priors.append([prior(m, (kappa, kappa)) for m in means])
+        searched = []
+        original = aoa._periodogram_starts
+
+        def recording(resid, chi, kappa, weight):
+            searched.append((chi / np.pi, original(resid, chi, kappa, weight)))
+            return searched[-1][1]
+
+        # hypothesis reruns the body, so it patches per example
+        with pytest.MonkeyPatch.context() as patch:
+            seen = self.record_warm(patch)
+            solve(snapshots, priors)
+            patch.setattr(aoa, "_periodogram_starts", recording)
+            self.all_cold(patch)
+            solve(snapshots, priors)
+        for means, starts in searched:
+            gap = np.abs(np.mod(starts - means + 1.0, 2.0) - 1.0)
+            assert np.all(gap[seen[0]] < 1.0 / 16.0)
+
+
+def two_source_snapshot_with_priors(rng, a, b, kappa):
+    """A K=2 snapshot with its priors at the sources, concentration ``kappa``."""
+    snap = two_source_snapshot(rng, [(2e-4, a), (1e-4, b)])
+    return snap, [prior(a, (kappa, kappa)), prior(b, (kappa, kappa))]
 
 
 class TestEngineCalls:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from nearfield_pae import baseline, engine, mcrb
+from nearfield_pae import aoa, baseline, engine, mcrb
 from nearfield_pae.baseline import run_baseline
 from nearfield_pae.channel import (
     ReceivedSignal,
@@ -480,6 +480,40 @@ class TestFeedback:
         assert np.allclose(state.prior_cov[2, 0, 0], cov, rtol=1e-8)
         assert np.allclose(state.prior_mean[2, 0, 0], mean, rtol=1e-8)
 
+    def test_fits_restart_where_they_ended(self, monkeypatch):
+        """A second pass on the same beliefs starts every leave-one-out fit
+        that converged and was kept at its own last mean, not at the fused
+        position, and gives the same messages."""
+        sc, plan = desk_setup()
+        rng = np.random.default_rng(4)
+        p_true = np.array([0.7, -0.5, 6.0])
+        refs = plan.reference_positions()
+        state = init_messages(plan.n_subarrays, 1, 1)
+        for m in range(plan.n_subarrays):
+            state.ext_chi[m, 0, 0] = np.pi * np.array(aoa_cosines(p_true, refs[m]))
+            state.ext_chi[m, 0, 0] += rng.normal(0.0, 1e-3, 2)
+            state.ext_kappa[m, 0, 0] = 1e7
+        state.fused_mean[0, 0] = p_true + rng.normal(0, 1e-2, 3)
+        state.eta_mean[0, 0] = p_true
+        state.eta_cov[0, 0] = 1e-6 * np.eye(3)
+        starts = []
+        original = engine.composite_fits
+
+        def recording(refs, chis, kappas, inits):
+            starts.append(inits.copy())
+            return original(refs, chis, kappas, inits)
+
+        monkeypatch.setattr(engine, "composite_fits", recording)
+        assert feedback_messages(state, plan, sc.nominal_range) == []
+        assert np.all(starts[0] == state.fused_mean[0, 0])
+        assert np.all(state.loo_ok)
+        ended = state.loo_mean[:, 0, 0].copy()
+        first = state.prior_mean.copy(), state.prior_cov.copy()
+        feedback_messages(state, plan, sc.nominal_range)
+        assert np.array_equal(starts[1], ended)
+        assert np.allclose(state.prior_mean, first[0], rtol=1e-12, atol=0.0)
+        assert np.allclose(state.prior_cov, first[1], rtol=1e-6, atol=0.0)
+
 
 class TestEngineEndToEnd:
     def test_noiseless_single_ms(self):
@@ -493,6 +527,38 @@ class TestEngineEndToEnd:
         assert np.linalg.norm(est.position - poses[0].position) < 0.02
         r_true = rotation_basis(poses[0].attitude).matrix
         assert np.sum((r_true - est.basis.matrix) ** 2) / 2 < 1e-6
+
+    def test_warm_starts_match_the_cold_path(self, monkeypatch):
+        """A K=2, 5-pass desk run, whose later passes skip the periodogram
+        search and first ascents (`aoa._warm_snapshots`) and restart the
+        feedback fits where they ended, agrees to 1e-5 m and in its flags
+        with the run that does neither."""
+        sc, plan = desk_setup(num_ms=2, tx_power_dbm=20.0, distance_range=(1.5, 2.5))
+        rng = np.random.default_rng(np.random.SeedSequence([0, 0, 1]))
+        poses = draw_poses(sc, rng)
+        sig = simulate_received(sc, rng, poses)
+        seen = []
+        decide = aoa._warm_snapshots
+
+        def recording(*args):
+            seen.append(decide(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(aoa, "_warm_snapshots", recording)
+        warm = engine.run(sig, sc, plan, 5)
+        assert not np.any(seen[0]) and np.all(seen[1:])
+        monkeypatch.setattr(aoa, "_warm_snapshots", lambda y, *args: np.zeros(len(y), dtype=bool))
+        feedback = engine.feedback_messages
+
+        def cold_feedback(state, *args):
+            state.loo_ok[:] = False
+            return feedback(state, *args)
+
+        monkeypatch.setattr(engine, "feedback_messages", cold_feedback)
+        cold = engine.run(sig, sc, plan, 5)
+        for w, c in zip(warm, cold):
+            assert np.linalg.norm(w.position - c.position) < 1e-5
+            assert w.flags == c.flags
 
     def test_deterministic_replay(self):
         sc, plan = desk_setup()
