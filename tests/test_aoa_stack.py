@@ -54,6 +54,12 @@ def two_source_snapshot(rng, sources, noise=True):
     return y, SIGW2
 
 
+def two_source_snapshot_with_priors(rng, a, b, kappa):
+    """A K=2 snapshot with its priors at the sources, concentration ``kappa``."""
+    snap = two_source_snapshot(rng, [(2e-4, a), (1e-4, b)])
+    return snap, [prior(a, (kappa, kappa)), prior(b, (kappa, kappa))]
+
+
 class TestStackedSolve:
     @staticmethod
     def mixed_stack():
@@ -209,7 +215,7 @@ class TestWarmStart:
         less than a bin (1/16 on 8x8) from the prior mean on both axes;
         the means lie up to four bins off the sources."""
         rng = np.random.default_rng(seed)
-        sources = [(0.2, -0.3), (-0.5, 0.4)][:k_count]
+        sources = [self.A, self.B][:k_count]
         amps = rng.uniform(0.5e-4, 2e-4, k_count) * np.exp(2j * np.pi * rng.random(k_count))
         snapshots, priors = [], []
         for _ in range(4):
@@ -234,12 +240,6 @@ class TestWarmStart:
         for means, starts in searched:
             gap = np.abs(np.mod(starts - means + 1.0, 2.0) - 1.0)
             assert np.all(gap[seen[0]] < 1.0 / 16.0)
-
-
-def two_source_snapshot_with_priors(rng, a, b, kappa):
-    """A K=2 snapshot with its priors at the sources, concentration ``kappa``."""
-    snap = two_source_snapshot(rng, [(2e-4, a), (1e-4, b)])
-    return snap, [prior(a, (kappa, kappa)), prior(b, (kappa, kappa))]
 
 
 class TestEngineCalls:
