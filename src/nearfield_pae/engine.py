@@ -30,10 +30,18 @@ ascents and starts its joint solve at the prior means
 where it ended in the previous pass if it converged and was kept there
 (`MessageState.loo_mean`).
 
+The passes stop themselves. From the second pass on, each MS's pose
+messages move by some distance in units of their own Laplace precision;
+the passes end once every MS's estimated remaining distance to the fixed
+point, read off its last two moves as for a contraction
+(`remaining_distance`), is at most `SETTLE_TOL`. The iteration count caps
+the passes, and an MS still moving when the cap ends a run of two or
+more passes is flagged ``iterations_exhausted``.
+
 Stage functions return their flags as (MS index, name) pairs, and `run`
 hands every MS its own flags on the returned `PoseEstimate`.
 
-The iteration count is the estimator's one setting. Its priors are fixed
+The iteration cap is the estimator's one setting. Its priors are fixed
 and non-informative (`SIGMA_INI`, `POSE_PRIOR`), and what depends on the
 scene comes from the scenario: the nominal range seeds and guards the
 position fits, and the angle stage's amplitude prior variance is the
@@ -64,6 +72,7 @@ from .geometry import (
     ray_from_cosines,
     rigid_antenna_chain,
     rotation_basis,
+    wrap_angle,
 )
 from .partition import PartitionPlan, subarray_groups
 
@@ -75,15 +84,46 @@ _KAPPA_FLOOR = 1e-12
 SIGMA_INI = 1e3
 
 
+# the stop rule's tolerance on each MS's estimated remaining distance to
+# the passes' fixed point, in units of its pose messages' own Laplace
+# standard deviation sigma. Stopping there leaves a message about
+# SETTLE_TOL sigma from where more passes would take it. A shift of
+# tau sigma, independent of the estimate's own error, adds tau^2 sigma^2
+# to its mean-squared error: 1e-4 relative, against the relative standard
+# error sqrt(2 / n) of an MSE estimated from n trials (0.09 at n = 250)
+SETTLE_TOL = 0.01
+
+
 def iteration_count(iterations, num_ms: int) -> int:
-    """The estimator's pass count: ``iterations``, or when it is None one
+    """The estimator's pass cap: ``iterations``, or when it is None one
     pass for a single MS and five for several. Raises ValueError unless
-    ``iterations`` is None or an integer >= 1."""
+    ``iterations`` is None or an integer >= 1 (a bool is not one)."""
     if iterations is None:
         return 1 if num_ms == 1 else 5
-    if not (isinstance(iterations, (int, np.integer)) and iterations >= 1):
+    if isinstance(iterations, bool) or not (
+        isinstance(iterations, (int, np.integer)) and iterations >= 1
+    ):
         raise ValueError(f"iterations must be an integer >= 1, got {iterations}")
     return int(iterations)
+
+
+def remaining_distance(move: np.ndarray, last_move: np.ndarray | None) -> np.ndarray:
+    """Each MS's estimated distance to the fixed point of the passes, from
+    its pose messages' last move d_n (K,) and the move before, d_{n-1}
+    (None when there is none): d_n rho / (1 - rho) with rho =
+    d_n / d_{n-1}, the a-posteriori error bound of a contraction with
+    ratio rho (Banach). rho is 1/2 with no earlier move. The distance is
+    0 when d_n = 0 and infinite when rho >= 1 (d_{n-1} = 0 included) or
+    a move is not finite."""
+    move = np.asarray(move, dtype=float)
+    if last_move is None:
+        rho = np.full(move.shape, 0.5)
+    else:
+        rho = np.divide(move, last_move, out=np.ones(move.shape), where=last_move > 0)
+        rho = np.minimum(rho, 1.0)
+    out = np.divide(move * rho, 1.0 - rho, out=np.full(move.shape, np.inf), where=rho < 1.0)
+    out[move == 0.0] = 0.0
+    return out
 
 
 def coeff_prior_var(scenario: ScenarioConfig) -> float:
@@ -115,6 +155,9 @@ class MessageState:
     eta_cov: np.ndarray  # (K, T, 3, 3)
     loo_mean: np.ndarray  # (M, K, T, 3), each leave-one-subarray-out fit's last mean
     loo_ok: np.ndarray  # (M, K, T) bool, that fit converged and was kept
+    # (K,), each MS's largest move of a pose message in the last update, in
+    # units of its Laplace precision; inf before a second update
+    pose_move: np.ndarray
     iteration: int = 0
     have_pose: bool = False
     flags: list = field(default_factory=list)  # (MS index, name) pairs
@@ -146,6 +189,7 @@ def init_messages(m_count: int, k_count: int, t_count: int) -> MessageState:
         eta_cov=np.tile(np.eye(3), (k_count, t_count, 1, 1)),
         loo_mean=np.zeros((m_count, k_count, t_count, 3)),
         loo_ok=np.zeros((m_count, k_count, t_count), dtype=bool),
+        pose_move=np.full(k_count, np.inf),
     )
 
 
@@ -242,12 +286,15 @@ def _stage_flags(raised: dict, shape: tuple) -> list:
     """(MS, flag) pairs of a stage whose stacked problems are indexed
     (K, T) or (M, K, T) as ``shape``: one per problem and flag name whose
     boolean array in ``raised`` is set there, tagged with the problem's
-    indices."""
-    flags = []
-    for b, index in enumerate(np.ndindex(*shape)):
-        tag = "".join(f"{axis}{i}" for axis, i in zip("mkt"[-len(shape) :], index))
-        flags += [(index[-2], f"{name}_{tag}") for name, mask in raised.items() if mask[b]]
-    return flags
+    indices, in problem-major and name-minor order."""
+    names = list(raised)
+    hits = np.argwhere(np.stack([raised[name] for name in names], axis=1))
+    cells = np.column_stack(np.unravel_index(hits[:, 0], shape)).tolist()
+    axes = "mkt"[-len(shape) :]
+    return [
+        (cell[-2], names[j] + "_" + "".join(f"{axis}{i}" for axis, i in zip(axes, cell)))
+        for cell, j in zip(cells, hits[:, 1].tolist())
+    ]
 
 
 def _flat_problems(kappas: np.ndarray) -> np.ndarray:
@@ -430,6 +477,11 @@ def update_pose_messages(state: MessageState, q_locals: np.ndarray):
     Laplace covariance gives the position and attitude blocks. Writes the
     pose messages and their projections `project_pose_to_antennas`;
     returns (MS, flag) pairs.
+
+    When earlier messages exist, the fits start there, and each MS's
+    ``pose_move`` is the largest over its slots of sqrt(D^T P D): D is the
+    message's change, with attitude differences wrapped to [-pi, pi), and
+    P the new fit's precision.
     """
     k_count, t_count = state.fused_mean.shape[:2]
     others = ~np.eye(t_count, dtype=bool)
@@ -444,6 +496,11 @@ def update_pose_messages(state: MessageState, q_locals: np.ndarray):
     else:
         init = np.array([procrustes_pose(o[u], q_locals[u]) for o, u in zip(obs, use)])
     fits = pose_fits(obs, weights, q_locals, POSE_PRIOR, init)
+    if state.have_pose:
+        delta = fits.mean - init
+        delta[:, 3:] = wrap_angle(delta[:, 3:])
+        moves = np.einsum("bi,bij,bj->b", delta, fits.precision, delta)
+        state.pose_move[:] = np.sqrt(np.maximum(moves, 0.0)).reshape(k_count, t_count).max(axis=1)
     state.pose_mean[:] = fits.mean.reshape(k_count, t_count, 6)
     state.pose_cov_p[:] = fits.cov[:, :3, :3].reshape(k_count, t_count, 3, 3)
     state.pose_cov_theta[:] = fits.cov[:, 3:, 3:].reshape(k_count, t_count, 3, 3)
@@ -620,7 +677,8 @@ class PoseEstimate:
     """Estimated pose of one MS with Laplace covariance diagnostics.
 
     ``flags`` holds the distinct flags raised for this MS by any stage of
-    the estimator, in the order first raised.
+    the estimator, in the order first raised. ``passes`` counts the
+    estimator passes the run took.
     """
 
     position: np.ndarray
@@ -630,6 +688,7 @@ class PoseEstimate:
     cov_attitude: np.ndarray
     converged: bool = True
     flags: tuple = ()
+    passes: int = 1
 
     @property
     def pose(self) -> Pose:
@@ -687,8 +746,13 @@ def run(
     """Full estimation pass: iterate angle and fusion stages, then output
     the MAP pose of every MS with the flags its stages raised.
 
-    ``iterations`` passes run, by default one for a single MS and five for
-    several (`iteration_count`). Everything else is fixed or comes from
+    ``iterations`` caps the passes, by default at one for a single MS and
+    five for several (`iteration_count`). From the second pass on, the
+    passes stop, before that pass's feedback, once every MS's
+    `remaining_distance` is at most `SETTLE_TOL`. When the cap ends a run
+    of two or more passes first, each MS not settled by then is flagged
+    ``iterations_exhausted``. Every estimate carries the number of passes
+    taken (``passes``). Everything else is fixed or comes from
     the scenario: the initial messages (`SIGMA_INI`) and the pose prior
     (`POSE_PRIOR`) are non-informative, the amplitude prior is the link
     budget at the nominal range (`coeff_prior_var`), and that range seeds
@@ -711,16 +775,24 @@ def run(
     q_locals = scenario.pattern.local_positions(scenario.ms, scenario.lam)
     r_nom = scenario.nominal_range
     state = init_messages(m_count, k_count, t_count)
+    settled, last_move = np.ones(k_count, dtype=bool), None
     for iteration in range(passes):
         state.iteration = iteration
         state.flags += aoa_module_pass(state, signal, plan, scenario)
         state.flags += fuse_antenna_position(state, plan, r_nom)
         state.flags += update_pose_messages(state, q_locals)
+        if state.have_pose:
+            settled = remaining_distance(state.pose_move, last_move) <= SETTLE_TOL
+            if settled.all():
+                break
+            last_move = state.pose_move.copy()
         state.have_pose = True
         if iteration < passes - 1:
             state.flags += feedback_messages(state, plan, r_nom)
+    state.flags += [(k, "iterations_exhausted") for k in np.flatnonzero(~settled).tolist()]
     estimates = final_map(state, q_locals)
     for k, est in enumerate(estimates):
         stage_flags = tuple(name for kk, name in state.flags if kk == k)
         est.flags = tuple(dict.fromkeys(stage_flags + est.flags))
+        est.passes = iteration + 1
     return estimates

@@ -110,7 +110,7 @@ class SweepSpec:
     trials: int
     scenario: ScenarioConfig
     partition: tuple = (4, 4)
-    iterations: int | None = None  # estimator passes; None: `engine.run`'s default
+    iterations: int | None = None  # estimator pass cap; None: `engine.run`'s default
     estimators: tuple = ("partitioned",)
     with_bound: bool = False
     bound_trials: int = 8
@@ -543,11 +543,18 @@ def scenario_from_config(cfg: dict) -> ScenarioConfig:
 
 
 def estimator_from_config(cfg: dict) -> int | None:
-    """The estimator's iteration count from ``[estimator] iterations``:
-    None for ``auto`` or no key, else the integer (`SweepSpec` and
-    `engine.run` reject one below 1)."""
+    """The estimator's iteration cap from ``[estimator] iterations``:
+    None for ``auto`` or no key, else the integer. Raises ConfigError on
+    any other text or an integer below 1."""
     iters = cfg.get("estimator", {}).get("iterations", "auto")
-    return None if iters.lower() == "auto" else int(iters)
+    if iters.lower() == "auto":
+        return None
+    try:
+        return iteration_count(int(iters), 1)
+    except ValueError:
+        raise ConfigError(
+            f"[estimator] iterations must be auto or an integer >= 1, got {iters!r}"
+        ) from None
 
 
 def sweep_from_config(cfg: dict, seed=None, threads=None) -> SweepSpec:

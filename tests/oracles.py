@@ -2,8 +2,9 @@
 
 Finite differences check the analytic derivatives, the dense-embedding
 mean and Fisher matrix check the block-wise bound in `mcrb`, scalar
-loops check the stacked von Mises kernels in `circular`, and products of
-one attitude's elementary rotations check `geometry.rotation_bases`.
+loops check the stacked von Mises kernels in `circular` and the flag
+tagging in `engine`, and products of one attitude's elementary rotations
+check `geometry.rotation_bases`.
 """
 
 import math
@@ -235,3 +236,14 @@ def gaussian_to_vm_loop(mean: np.ndarray, cov: np.ndarray, ref: np.ndarray) -> t
             continue
         comps.append(vm_normalize_scalar(math.pi * phi_bar, min(d * d / denom, KAPPA_MAX)))
     return np.array([c[0] for c in comps]), np.array([c[1] for c in comps])
+
+
+def stage_flags_loop(raised: dict, shape: tuple) -> list:
+    """(MS, flag) pairs of a stage's stacked problems indexed as ``shape``,
+    problem by problem: one per problem and name whose mask in ``raised``
+    is set there, tagged with the problem's (m, k, t) or (k, t) indices."""
+    flags = []
+    for b, index in enumerate(np.ndindex(*shape)):
+        tag = "".join(f"{axis}{i}" for axis, i in zip("mkt"[-len(shape) :], index))
+        flags += [(index[-2], f"{name}_{tag}") for name, mask in raised.items() if mask[b]]
+    return flags

@@ -49,6 +49,7 @@ from oracles import (
     finite_diff_gradient,
     finite_diff_hessian,
     rotation_basis_derivatives,
+    stage_flags_loop,
 )
 
 
@@ -647,6 +648,90 @@ class TestEngineEndToEnd:
 
         with pytest.raises(ValueError, match="signal shape"):
             engine.run(ReceivedSignal(np.zeros((3, 2), dtype=complex)), sc, plan)
+
+
+class TestStopRule:
+    """The passes stop once every MS's estimated remaining distance to the
+    fixed point is at most `engine.SETTLE_TOL`; the cap flags an MS that
+    has not settled."""
+
+    @staticmethod
+    def k2_trial(seed, **scene):
+        sc, plan = desk_setup(num_ms=2, tx_power_dbm=20.0, **scene)
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        poses = draw_poses(sc, rng)
+        return simulate_received(sc, rng, poses), sc, plan
+
+    def test_desk_trial_stops_early(self, monkeypatch):
+        """A settled desk trial stops after 3 of its 5 passes, within
+        1e-5 m of the run to the cap and with the same stage flags."""
+        sig, sc, plan = self.k2_trial([0, 0, 1], distance_range=(1.5, 2.5))
+        stopped = engine.run(sig, sc, plan)
+        assert [est.passes for est in stopped] == [3, 3]
+        monkeypatch.setattr(engine, "SETTLE_TOL", -1.0)
+        capped = engine.run(sig, sc, plan)
+        for s, c in zip(stopped, capped):
+            assert c.passes == 5
+            assert np.linalg.norm(s.position - c.position) < 1e-5
+            assert "iterations_exhausted" in c.flags
+            assert s.flags == tuple(f for f in c.flags if f != "iterations_exhausted")
+
+    def test_far_trial_that_never_settles_is_flagged(self):
+        sig, sc, plan = self.k2_trial([0, 2, 3])
+        ests = engine.run(sig, sc, plan)
+        assert all(est.passes == 5 and "iterations_exhausted" in est.flags for est in ests)
+
+    def test_far_trial_that_settles_is_not_flagged(self):
+        sig, sc, plan = self.k2_trial([0, 2, 2])
+        ests = engine.run(sig, sc, plan)
+        assert all(est.passes < 5 and "iterations_exhausted" not in est.flags for est in ests)
+
+    def test_remaining_distance(self):
+        remaining = engine.remaining_distance
+        # no earlier move: rho = 1/2, so the distance equals the move
+        assert np.array_equal(remaining(np.array([0.35, 0.0]), None), [0.35, 0.0])
+        moves = np.array([0.017, 0.1, 0.2, 0.3, 0.0, 0.0])
+        got = remaining(moves, np.array([0.35, 0.1, 0.1, 0.0, 0.0, 2.0]))
+        rho = 0.017 / 0.35
+        assert got[0] == pytest.approx(0.017 * rho / (1 - rho))
+        # rho >= 1, or a move after a zero move, is not settled
+        assert np.all(np.isinf(got[1:4]))
+        # a zero move is settled
+        assert np.array_equal(got[4:], [0.0, 0.0])
+        assert np.isinf(remaining(np.array([np.nan]), np.array([1.0])))[0]
+
+    def test_single_pass_is_the_stage_sequence(self, monkeypatch):
+        """K=1 runs one pass and makes no test: its output is the stage
+        sequence's, bit for bit, whatever the tolerance."""
+        sc, plan = desk_setup(tx_power_dbm=20.0, distance_range=(1.5, 2.5))
+        rng = np.random.default_rng(np.random.SeedSequence([0, 0, 0]))
+        sig = simulate_received(sc, rng, draw_poses(sc, rng))
+        q = sc.pattern.local_positions(sc.ms, sc.lam)
+        state = init_messages(plan.n_subarrays, 1, sc.n_slots)
+        engine.aoa_module_pass(state, sig, plan, sc)
+        fuse_antenna_position(state, plan, sc.nominal_range)
+        update_pose_messages(state, q)
+        state.have_pose = True
+        expected = final_map(state, q)[0]
+        monkeypatch.setattr(engine, "SETTLE_TOL", -1.0)
+        est = engine.run(sig, sc, plan)[0]
+        assert est.passes == 1
+        assert "iterations_exhausted" not in est.flags
+        assert np.array_equal(est.position, expected.position)
+        assert np.array_equal(est.cov_attitude, expected.cov_attitude)
+        assert est.attitude.as_array().tolist() == expected.attitude.as_array().tolist()
+
+
+class TestStageFlags:
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.floats(0.0, 1.0))
+    def test_matches_the_problem_loop(self, seed, three_axes, density):
+        """The stacked flag tagging gives the problem-by-problem loop's
+        pairs, in its order, on random masks."""
+        rng = np.random.default_rng(seed)
+        shape = tuple(rng.integers(1, 5, size=3 if three_axes else 2))
+        names = [f"flag{j}" for j in range(rng.integers(1, 4))]
+        raised = {name: rng.random(int(np.prod(shape))) < density for name in names}
+        assert engine._stage_flags(raised, shape) == stage_flags_loop(raised, shape)
 
 
 class TestRunFlags:

@@ -14,7 +14,7 @@ from nearfield_pae.channel import (
 from nearfield_pae.cli import main
 from nearfield_pae.engine import run
 from nearfield_pae.geometry import UraSpec, half_wavelength_ura, wavelength
-from nearfield_pae.harness import load_config, sweep_from_config
+from nearfield_pae.harness import ConfigError, estimator_from_config, load_config, sweep_from_config
 from nearfield_pae.mcrb import compute_bound, information_matrices, pack_poses
 from nearfield_pae.partition import uniform_partition
 
@@ -161,12 +161,12 @@ class TestFlatPriorDegenerateSnapshots:
 class TestEstimatorControls:
     """The iteration count is the estimator's one setting. Invalid counts
     once passed: ``iterations = 0`` made `run` return a pose at the array
-    centre with no flag, and 2.5 ran two passes. The six prior and range
+    centre with no flag, 2.5 ran two passes and True one. The six prior and range
     settings are gone, so a config file that sets one, at any of the
     values once rejected here, is refused as an unknown key (exit 2)
     before any work starts."""
 
-    @pytest.mark.parametrize("iterations", [0, -1, 2.5])
+    @pytest.mark.parametrize("iterations", [0, -1, 2.5, True])
     def test_iterations_below_one_rejected(self, iterations):
         sc = desk_scale_scenario()
         plan = uniform_partition(sc.bs, 4, 4, sc.lam)
@@ -207,6 +207,15 @@ class TestEstimatorControls:
     @pytest.mark.parametrize("r_nom", [0.0, -2.0, np.inf, np.nan])
     def test_nominal_range_rejected(self, tmp_path, capsys, r_nom):
         self.assert_unknown_key(tmp_path, capsys, "nominal_range", r_nom)
+
+    @pytest.mark.parametrize("text", ["2.5", "0", "true"])
+    def test_bad_iterations_text_rejected(self, tmp_path, text):
+        """A count that is not auto or an integer >= 1 is a config error
+        naming the key and the text, not int()'s message."""
+        path = tmp_path / "estimator.ini"
+        path.write_text(f"[estimator]\niterations = {text}\n")
+        with pytest.raises(ConfigError, match=rf"\[estimator\] iterations .*'{text}'"):
+            estimator_from_config(load_config(str(path)))
 
     def test_valid_controls_accepted(self, tmp_path):
         """``auto`` and integers >= 1 pass from a config file into a sweep."""
