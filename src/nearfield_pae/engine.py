@@ -114,13 +114,12 @@ def remaining_distance(move: np.ndarray, last_move: np.ndarray | None) -> np.nda
     d_n / d_{n-1}, the a-posteriori error bound of a contraction with
     ratio rho (Banach). rho is 1/2 with no earlier move. The distance is
     0 when d_n = 0 and infinite when rho >= 1 (d_{n-1} = 0 included) or
-    a move is not finite."""
+    d_n is not finite."""
     move = np.asarray(move, dtype=float)
     if last_move is None:
         rho = np.full(move.shape, 0.5)
     else:
         rho = np.divide(move, last_move, out=np.ones(move.shape), where=last_move > 0)
-        rho = np.minimum(rho, 1.0)
     out = np.divide(move * rho, 1.0 - rho, out=np.full(move.shape, np.inf), where=rho < 1.0)
     out[move == 0.0] = 0.0
     return out
